@@ -12,7 +12,7 @@ GO ?= go
 # Per-target time budget for the fuzz smoke pass.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race race-touched ci bench bench-guard bench-baseline bench-micro bench-parallel fuzz-smoke serve-test proxy-test store-test kv-test train-test
+.PHONY: all build test vet race race-touched cpu-matrix ci bench bench-guard bench-baseline bench-micro bench-parallel fuzz-smoke serve-test proxy-test store-test kv-test train-test
 
 all: build
 
@@ -83,7 +83,14 @@ kv-test:
 train-test:
 	TRAIN_SOAK=1 $(GO) test -race ./internal/allreduce/ ./internal/train/ -timeout 30m
 
-ci: build vet test serve-test proxy-test store-test kv-test train-test race fuzz-smoke bench-guard
+# CPU-count independence: the golden corpus, the equivalence and
+# determinism matrices and the any-worker-count suites rerun at GOMAXPROCS
+# 1, 2 and 4, so a scheduling-sensitive result cannot hide behind the core
+# count of the machine CI happens to run on.
+cpu-matrix:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Golden|Equivalence|Determinis|AnyCount|BitIdentical' ./internal/codec/ ./internal/core/ ./internal/train/ ./internal/allreduce/
+
+ci: build vet test cpu-matrix serve-test proxy-test store-test kv-test train-test race fuzz-smoke bench-guard
 
 # Coverage-guided fuzzing of every decode entry point, FUZZTIME per target.
 # Each target is seeded from valid round-trip containers, so the fuzzer

@@ -6,11 +6,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 
+	"repro/internal/allreduce"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/data"
@@ -58,7 +60,8 @@ func report(curve []train.CurvePoint, every int, final float64, wire string) {
 func runDP(corpus *data.Corpus, method string, bits float64, steps int, seed int64, every int) {
 	spec := llm.Zoo()["pythia-dp"]
 	m := nn.NewTransformer(rand.New(rand.NewSource(99)), spec.Cfg)
-	opt := nn.NewAdam(3e-3)
+	adam := nn.NewAdam(3e-3)
+	var opt nn.Optimizer = adam
 	var compress train.GradCompressor
 	var onStep func(int)
 	switch method {
@@ -70,37 +73,24 @@ func runDP(corpus *data.Corpus, method string, bits float64, steps int, seed int
 	case "onebit-adam", "onebit-lamb":
 		ob := baselines.NewOneBitCompressor(steps * 15 / 100)
 		compress = train.OneBitDP(ob)
+		freeze := &adam.FreezeVariance
 		if method == "onebit-lamb" {
 			lamb := nn.NewLAMB(2e-3)
-			onStep = func(int) {
-				ob.AdvanceStep()
-				if !ob.InWarmup() {
-					lamb.FreezeVariance = true
-				}
-			}
-			res, err := train.RunDataParallel(m, corpus, lamb, train.DPConfig{
-				Replicas: 4, Batch: 4, Compress: compress,
-			}, steps, seed, onStep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "trainsim:", err)
-				os.Exit(1)
-			}
-			report(res.Curve, every, res.FinalPPL, fmt.Sprintf("%.2f wire bits/value", res.AvgBits))
-			return
+			opt, freeze = lamb, &lamb.FreezeVariance
 		}
 		onStep = func(int) {
 			ob.AdvanceStep()
 			if !ob.InWarmup() {
-				opt.FreezeVariance = true
+				*freeze = true
 			}
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "trainsim: unknown dp method", method)
 		os.Exit(2)
 	}
-	res, err := train.RunDataParallel(m, corpus, opt, train.DPConfig{
+	res, err := train.RunDataParallelRing(context.Background(), m, corpus, opt, train.DPConfig{
 		Replicas: 4, Batch: 4, Compress: compress,
-	}, steps, seed, onStep)
+	}, allreduce.Config{}, steps, seed, onStep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trainsim:", err)
 		os.Exit(1)

@@ -6,10 +6,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
+	"repro/internal/allreduce"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/data"
@@ -26,9 +28,9 @@ func main() {
 	run := func(label string, compress train.GradCompressor,
 		opt nn.Optimizer, onStep func(int)) {
 		m := nn.NewTransformer(rand.New(rand.NewSource(99)), spec.Cfg)
-		res, err := train.RunDataParallel(m, corpus, opt, train.DPConfig{
+		res, err := train.RunDataParallelRing(context.Background(), m, corpus, opt, train.DPConfig{
 			Replicas: 4, Batch: 4, Compress: compress, EvalBatches: 4,
-		}, steps, 7, onStep)
+		}, allreduce.Config{}, steps, 7, onStep)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,10 +4,12 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/allreduce"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/llm"
@@ -125,9 +127,9 @@ func TestEndToEndDistributedTrainingParity(t *testing.T) {
 
 	run := func(compress train.GradCompressor) float64 {
 		m := nn.NewTransformer(rand.New(rand.NewSource(77)), cfg)
-		res, err := train.RunDataParallel(m, corpus, nn.NewAdam(3e-3), train.DPConfig{
+		res, err := train.RunDataParallelRing(context.Background(), m, corpus, nn.NewAdam(3e-3), train.DPConfig{
 			Replicas: 2, Batch: 4, Compress: compress, EvalBatches: 4,
-		}, 120, 8, nil)
+		}, allreduce.Config{}, 120, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

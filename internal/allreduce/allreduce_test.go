@@ -32,7 +32,8 @@ func randBuckets(seed int64, workers, rows, cols int) [][]float32 {
 }
 
 // plainSum is the sequential reference reduction: float32 accumulation in
-// ascending worker order, exactly what RunDataParallel computes.
+// ascending worker order, exactly what the sequential data-parallel loop
+// computes.
 func plainSum(in [][]float32) []float32 {
 	out := make([]float32, len(in[0]))
 	copy(out, in[0])

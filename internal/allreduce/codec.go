@@ -43,7 +43,7 @@ type Stepper interface{ AdvanceStep() }
 
 // rawBitsPerValue is the accounted cost of an uncompressed value. The wire
 // carries float32 for bit-exactness with the in-process baseline, but the
-// modeled link is FP16 — matching RunDataParallel's accounting of the
+// modeled link is FP16 — matching the training loop's accounting of the
 // uncompressed path — so comparisons against compressed schemes are fair.
 const rawBitsPerValue = 16
 

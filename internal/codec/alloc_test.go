@@ -91,22 +91,22 @@ func TestDecodeSteadyStateAllocationFree(t *testing.T) {
 func TestScratchPoolReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	planes := []*frame.Plane{gradientPlane(rng, 64, 64)}
-	data, _, err := Encode(planes, 30, HEVC, AllTools) // warm the pool
+	data, _, err := encodeSerial(context.Background(), planes, 30, HEVC, AllTools, nil) // warm the pool
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(data); err != nil {
+	if _, err := (Decoder{}).Decode(context.Background(), data); err != nil {
 		t.Fatal(err)
 	}
 	// AllocsPerRun forces a GC between runs, which may evict the pooled
 	// scratch; tolerate one full scratch re-allocation's worth of fixed
 	// costs but nothing that scales with block count (64 blocks here).
 	a := testing.AllocsPerRun(5, func() {
-		d, _, err := Encode(planes, 30, HEVC, AllTools)
+		d, _, err := encodeSerial(context.Background(), planes, 30, HEVC, AllTools, nil)
 		if err != nil {
 			panic(err)
 		}
-		if _, err := Decode(d); err != nil {
+		if _, err := (Decoder{}).Decode(context.Background(), d); err != nil {
 			panic(err)
 		}
 	})

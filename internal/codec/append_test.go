@@ -52,11 +52,11 @@ func appendSchedule(t *testing.T, app *Appender, planes []*frame.Plane, regions 
 func TestAppenderSnapshotMatchesOneShot(t *testing.T) {
 	planes, regions := appendPlanes(11, 8)
 	for _, tools := range []Tools{AllTools, ransTools()} {
-		oneShot, _, err := EncodeChecksummed(planes, 24, HEVC, tools, 2)
+		oneShot, _, err := Encoder{Profile: HEVC, Tools: tools, Workers: 2, Container: ContainerChecksummed}.Encode(context.Background(), planes, 24)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := DecodeWorkers(oneShot, 2)
+		want, err := Decoder{Workers: 2}.Decode(context.Background(), oneShot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestAppenderSnapshotMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DecodeWorkers(snap, workers)
+			got, err := Decoder{Workers: workers}.Decode(context.Background(), snap)
 			if err != nil {
 				t.Fatalf("backend %v workers %d: decoding snapshot: %v", tools.Backend, workers, err)
 			}
@@ -91,7 +91,7 @@ func TestAppenderSnapshotMatchesOneShot(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Snapshot[%d,+%d): %v", win[0], win[1], err)
 				}
-				got, err := DecodeWorkers(snap, workers)
+				got, err := Decoder{Workers: workers}.Decode(context.Background(), snap)
 				if err != nil {
 					t.Fatalf("decoding Snapshot[%d,+%d): %v", win[0], win[1], err)
 				}
@@ -209,7 +209,7 @@ func TestAppenderRansTableAdoption(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("aliased rANS twin snapshot differs from the donor's")
 	}
-	if _, err := DecodeWorkers(b, 4); err != nil {
+	if _, err := (Decoder{Workers: 4}).Decode(context.Background(), b); err != nil {
 		t.Fatalf("decoding aliased rANS snapshot: %v", err)
 	}
 
@@ -233,7 +233,7 @@ func TestAppenderDropPlanes(t *testing.T) {
 	app := NewAppender(24, HEVC, AllTools, 2, nil)
 	appendSchedule(t, app, planes, regions, []int{6})
 	oneShot, _ := app.Snapshot(0, 6)
-	want, err := DecodeWorkers(oneShot, 2)
+	want, err := Decoder{Workers: 2}.Decode(context.Background(), oneShot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestAppenderDropPlanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeWorkers(snap, 2)
+	got, err := Decoder{Workers: 2}.Decode(context.Background(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestAppenderSnapshotDecodeIsORegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	if _, err := DecodeWorkersObs(snap, 2, reg); err != nil {
+	if _, err := (Decoder{Workers: 2, Metrics: reg}).Decode(context.Background(), snap); err != nil {
 		t.Fatal(err)
 	}
 	if n := reg.Snapshot().Counters["codec.decode.chunks"]; n != 2 {

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -39,7 +40,7 @@ func TestRANSRoundTrip(t *testing.T) {
 	}
 	for name, planes := range corpora {
 		for _, prof := range []Profile{H264, HEVC} {
-			data, st, err := EncodeChecksummed(planes, 30, prof, ransTools(), 2)
+			data, st, err := Encoder{Profile: prof, Tools: ransTools(), Workers: 2, Container: ContainerChecksummed}.Encode(context.Background(), planes, 30)
 			if err != nil {
 				t.Fatalf("%s/%s: encode: %v", name, prof.Name, err)
 			}
@@ -49,11 +50,11 @@ func TestRANSRoundTrip(t *testing.T) {
 			if data[6]&toolsBackendExt == 0 {
 				t.Fatalf("%s/%s: tools byte missing backend-extension bit", name, prof.Name)
 			}
-			got, err := DecodeWorkers(data, 2)
+			got, err := Decoder{Workers: 2}.Decode(context.Background(), data)
 			if err != nil {
 				t.Fatalf("%s/%s: decode: %v", name, prof.Name, err)
 			}
-			cab, err := DecodeWorkers(mustEncode(t, planes, 30, prof, AllTools), 2)
+			cab, err := Decoder{Workers: 2}.Decode(context.Background(), mustEncode(t, planes, 30, prof, AllTools))
 			if err != nil {
 				t.Fatalf("%s/%s: cabac decode: %v", name, prof.Name, err)
 			}
@@ -68,29 +69,29 @@ func TestRANSRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Encode and EncodeParallel must also emit v3 (rANS needs the header
-	// extension) and agree byte-for-byte with EncodeChecksummed.
+	// encodeSerial and ContainerAuto must also emit v3 (rANS needs the
+	// header extension) and agree byte-for-byte with ContainerChecksummed.
 	planes := corpora["multi chunk"]
-	want, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), 1)
+	want, _, err := Encoder{Profile: HEVC, Tools: ransTools(), Workers: 1, Container: ContainerChecksummed}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSerial, _, err := Encode(planes, 30, HEVC, ransTools())
+	viaSerial, _, err := encodeSerial(context.Background(), planes, 30, HEVC, ransTools(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaParallel, _, err := EncodeParallel(planes, 30, HEVC, ransTools(), 4)
+	viaParallel, _, err := Encoder{Profile: HEVC, Tools: ransTools(), Workers: 4}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(viaSerial, want) || !bytes.Equal(viaParallel, want) {
-		t.Fatal("Encode/EncodeParallel rans streams differ from EncodeChecksummed")
+		t.Fatal("encodeSerial/ContainerAuto rans streams differ from ContainerChecksummed")
 	}
 }
 
 func mustEncode(t *testing.T, planes []*frame.Plane, qp int, prof Profile, tools Tools) []byte {
 	t.Helper()
-	data, _, err := EncodeChecksummed(planes, qp, prof, tools, 2)
+	data, _, err := Encoder{Profile: prof, Tools: tools, Workers: 2, Container: ContainerChecksummed}.Encode(context.Background(), planes, qp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +110,12 @@ func TestRANSDeterministicAcrossWorkers(t *testing.T) {
 	for i := range planes {
 		planes[i] = gradientPlane(rng, 64, 64)
 	}
-	base, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), 1)
+	base, _, err := Encoder{Profile: HEVC, Tools: ransTools(), Workers: 1, Container: ContainerChecksummed}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 8} {
-		again, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), w)
+		again, _, err := Encoder{Profile: HEVC, Tools: ransTools(), Workers: w, Container: ContainerChecksummed}.Encode(context.Background(), planes, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,12 +123,12 @@ func TestRANSDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("rans encode differs at %d workers", w)
 		}
 	}
-	ref, err := DecodeWorkers(base, 1)
+	ref, err := Decoder{Workers: 1}.Decode(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 8} {
-		got, err := DecodeWorkers(base, w)
+		got, err := Decoder{Workers: w}.Decode(context.Background(), base)
 		if err != nil {
 			t.Fatalf("decode at %d workers: %v", w, err)
 		}
@@ -158,7 +159,7 @@ func ransHeaderLen(t *testing.T, data []byte) int {
 func TestBackendByteTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	planes := []*frame.Plane{gradientPlane(rng, 48, 40)}
-	data, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), 1)
+	data, _, err := Encoder{Profile: HEVC, Tools: ransTools(), Workers: 1, Container: ContainerChecksummed}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestBackendByteTable(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		bad[8] = byte(id)
 		binary.BigEndian.PutUint32(bad[hdrLen:], crc32.Checksum(bad[:hdrLen], crcTable))
-		got, err := DecodeWorkers(bad, 1)
+		got, err := Decoder{Workers: 1}.Decode(context.Background(), bad)
 		if id == int(BackendRANS) {
 			if err != nil {
 				t.Fatalf("backend id %d (rans): %v", id, err)
@@ -211,7 +212,7 @@ func TestBackendExtensionRequiresV3(t *testing.T) {
 		return b.Bytes()
 	}
 	for _, version := range []byte{1, 2} {
-		_, err := DecodeWorkers(build(version), 1)
+		_, err := Decoder{Workers: 1}.Decode(context.Background(), build(version))
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("v%d with backend extension: got %v, want ErrCorrupt", version, err)
 		}
@@ -225,7 +226,7 @@ func TestBackendExtensionRequiresV3(t *testing.T) {
 func TestRANSFaultSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	planes := []*frame.Plane{gradientPlane(rng, 48, 40)}
-	data, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), 1)
+	data, _, err := Encoder{Profile: HEVC, Tools: ransTools(), Workers: 1, Container: ContainerChecksummed}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestRANSFaultSweeps(t *testing.T) {
 func TestRANSPayloadStrictness(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	planes := []*frame.Plane{gradientPlane(rng, 48, 40)}
-	data, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), 1)
+	data, _, err := Encoder{Profile: HEVC, Tools: ransTools(), Workers: 1, Container: ContainerChecksummed}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestRANSPayloadStrictness(t *testing.T) {
 	// Damaging the final state segment's last byte must be caught by the
 	// strict rANS Close (state must return to its initial value).
 	bad := reseal(func(p []byte) { p[len(p)-1] ^= 0xFF })
-	if _, err := DecodeWorkers(bad, 1); err == nil {
+	if _, err := (Decoder{Workers: 1}).Decode(context.Background(), bad); err == nil {
 		t.Fatal("damaged final rans segment byte accepted")
 	} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 		t.Fatalf("damaged segment: untyped error %v", err)
@@ -293,7 +294,7 @@ func TestRANSPayloadStrictness(t *testing.T) {
 	// segment framing; the decode must either reject it or at minimum not
 	// panic — under the recomputed CRCs we only demand typed behavior.
 	bad = reseal(func(p []byte) { p[1] ^= 0x01 })
-	if _, err := DecodeWorkers(bad, 1); err != nil {
+	if _, err := (Decoder{Workers: 1}).Decode(context.Background(), bad); err != nil {
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 			t.Fatalf("bypass flip: untyped error %v", err)
 		}
@@ -311,11 +312,11 @@ func TestRANSBitrateNearCABAC(t *testing.T) {
 	for i := range planes {
 		planes[i] = gradientPlane(rng, 128, 128)
 	}
-	cab, _, err := EncodeChecksummed(planes, 16, HEVC, AllTools, 2)
+	cab, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 2, Container: ContainerChecksummed}.Encode(context.Background(), planes, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rns, _, err := EncodeChecksummed(planes, 16, HEVC, ransTools(), 2)
+	rns, _, err := Encoder{Profile: HEVC, Tools: ransTools(), Workers: 2, Container: ContainerChecksummed}.Encode(context.Background(), planes, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,10 +334,10 @@ func TestRANSRequiresEntropyStage(t *testing.T) {
 	tools := ransTools()
 	tools.CABAC = false
 	planes := []*frame.Plane{frame.NewPlane(16, 16)}
-	if _, _, err := EncodeChecksummed(planes, 30, HEVC, tools, 1); err == nil {
+	if _, _, err := (Encoder{Profile: HEVC, Tools: tools, Workers: 1, Container: ContainerChecksummed}).Encode(context.Background(), planes, 30); err == nil {
 		t.Fatal("rans without entropy stage accepted")
 	}
-	if _, _, err := Encode(planes, 30, HEVC, tools); err == nil {
+	if _, _, err := encodeSerial(context.Background(), planes, 30, HEVC, tools, nil); err == nil {
 		t.Fatal("rans without entropy stage accepted by Encode")
 	}
 }

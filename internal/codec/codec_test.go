@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -58,7 +59,7 @@ func noisePlane(rng *rand.Rand, w, h int) *frame.Plane {
 // decodeMSE round-trips and computes MSE vs the originals.
 func decodeMSE(t *testing.T, data []byte, orig []*frame.Plane) float64 {
 	t.Helper()
-	dec, err := Decode(data)
+	dec, err := Decoder{}.Decode(context.Background(), data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -83,7 +84,7 @@ func TestEncodeDecodeMSEMatchesStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := gradientPlane(rng, 96, 96)
 	for _, qp := range []int{8, 20, 32, 44} {
-		data, st, err := Encode([]*frame.Plane{p}, qp, HEVC, AllTools)
+		data, st, err := encodeSerial(context.Background(), []*frame.Plane{p}, qp, HEVC, AllTools, nil)
 		if err != nil {
 			t.Fatalf("qp %d: %v", qp, err)
 		}
@@ -98,7 +99,7 @@ func TestAllProfilesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := gradientPlane(rng, 64, 48) // non-multiple of CTU exercises padding
 	for _, prof := range []Profile{H264, HEVC, AV1} {
-		data, st, err := Encode([]*frame.Plane{p}, 24, prof, AllTools)
+		data, st, err := encodeSerial(context.Background(), []*frame.Plane{p}, 24, prof, AllTools, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", prof.Name, err)
 		}
@@ -123,7 +124,7 @@ func TestToolCombinationsRoundTrip(t *testing.T) {
 		{IntraPred: true, CABAC: true},
 	}
 	for _, tc := range combos {
-		data, st, err := Encode(planes, 24, HEVC, tc)
+		data, st, err := encodeSerial(context.Background(), planes, 24, HEVC, tc, nil)
 		if err != nil {
 			t.Fatalf("tools %+v: %v", tc, err)
 		}
@@ -141,7 +142,7 @@ func TestMultiFrameRoundTrip(t *testing.T) {
 		gradientPlane(rng, 40, 72),
 		noisePlane(rng, 33, 33),
 	}
-	data, st, err := Encode(planes, 28, HEVC, AllTools)
+	data, st, err := encodeSerial(context.Background(), planes, 28, HEVC, AllTools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestInterFrameRoundTrip(t *testing.T) {
 	tools := AllTools
 	tools.InterPred = true
 	planes := []*frame.Plane{base, shifted}
-	data, st, err := Encode(planes, 24, HEVC, tools)
+	data, st, err := encodeSerial(context.Background(), planes, 24, HEVC, tools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +197,11 @@ func TestInterHelpsTranslatedVideo(t *testing.T) {
 	intraTools := AllTools
 	interTools := AllTools
 	interTools.InterPred = true
-	_, stIntra, err := Encode(planes, 24, HEVC, intraTools)
+	_, stIntra, err := encodeSerial(context.Background(), planes, 24, HEVC, intraTools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stInter, err := Encode(planes, 24, HEVC, interTools)
+	_, stInter, err := encodeSerial(context.Background(), planes, 24, HEVC, interTools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +215,11 @@ func TestStructuredBeatsNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	grad := gradientPlane(rng, 64, 64)
 	noise := noisePlane(rng, 64, 64)
-	_, stG, err := Encode([]*frame.Plane{grad}, 28, HEVC, AllTools)
+	_, stG, err := encodeSerial(context.Background(), []*frame.Plane{grad}, 28, HEVC, AllTools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stN, err := Encode([]*frame.Plane{noise}, 28, HEVC, AllTools)
+	_, stN, err := encodeSerial(context.Background(), []*frame.Plane{noise}, 28, HEVC, AllTools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +236,11 @@ func TestIntraPredictionReducesRate(t *testing.T) {
 	with := AllTools
 	without := AllTools
 	without.IntraPred = false
-	_, stW, err := Encode([]*frame.Plane{p}, 26, HEVC, with)
+	_, stW, err := encodeSerial(context.Background(), []*frame.Plane{p}, 26, HEVC, with, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stWo, err := Encode([]*frame.Plane{p}, 26, HEVC, without)
+	_, stWo, err := encodeSerial(context.Background(), []*frame.Plane{p}, 26, HEVC, without, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestRateIsMonotoneInQP(t *testing.T) {
 	prev := math.Inf(1)
 	first := 0.0
 	for i, qp := range []int{8, 16, 24, 32, 40, 48} {
-		_, st, err := Encode([]*frame.Plane{p}, qp, HEVC, AllTools)
+		_, st, err := encodeSerial(context.Background(), []*frame.Plane{p}, qp, HEVC, AllTools, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,77 +274,29 @@ func TestRateIsMonotoneInQP(t *testing.T) {
 	}
 }
 
-func TestEncodeToBitrateHitsBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	p := gradientPlane(rng, 96, 96)
-	for _, target := range []float64{1.0, 2.3, 3.5} {
-		data, st, qp, err := EncodeToBitrate([]*frame.Plane{p}, target, HEVC, AllTools)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.BitsPerPixel > target {
-			t.Fatalf("target %.2f: got %.3f bpp (qp %d)", target, st.BitsPerPixel, qp)
-		}
-		if got := decodeMSE(t, data, []*frame.Plane{p}); got != st.MSE {
-			t.Fatalf("target %.2f: decode mismatch", target)
-		}
-	}
-}
-
-func TestEncodeToMSEHitsBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := gradientPlane(rng, 96, 96)
-	for _, budget := range []float64{2, 10, 50} {
-		_, st, qp, err := EncodeToMSE([]*frame.Plane{p}, budget, HEVC, AllTools)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.MSE > budget {
-			t.Fatalf("budget %.1f: got MSE %.3f (qp %d)", budget, st.MSE, qp)
-		}
-	}
-}
-
-func TestEncodeToMSETightBudgetUsesFewBits(t *testing.T) {
-	// A loose MSE budget must not cost more bits than a tight one.
-	rng := rand.New(rand.NewSource(12))
-	p := gradientPlane(rng, 64, 64)
-	_, tight, _, err := EncodeToMSE([]*frame.Plane{p}, 1, HEVC, AllTools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, loose, _, err := EncodeToMSE([]*frame.Plane{p}, 100, HEVC, AllTools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.BitsPerPixel > tight.BitsPerPixel {
-		t.Fatalf("loose budget %.3f bpp > tight %.3f bpp", loose.BitsPerPixel, tight.BitsPerPixel)
-	}
-}
-
 func TestFrameSizeLimitEnforced(t *testing.T) {
 	p := frame.NewPlane(8192+32, 16)
-	_, _, err := Encode([]*frame.Plane{p}, 24, HEVC, AllTools)
+	_, _, err := encodeSerial(context.Background(), []*frame.Plane{p}, 24, HEVC, AllTools, nil)
 	if err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
+	if _, err := (Decoder{}).Decode(context.Background(), nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := Decode([]byte("notastream!!")); err == nil {
+	if _, err := (Decoder{}).Decode(context.Background(), []byte("notastream!!")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	// Valid header, truncated payload must error (not panic).
 	rng := rand.New(rand.NewSource(13))
 	p := gradientPlane(rng, 64, 64)
-	data, _, err := Encode([]*frame.Plane{p}, 24, HEVC, AllTools)
+	data, _, err := encodeSerial(context.Background(), []*frame.Plane{p}, 24, HEVC, AllTools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(data[:20]); err == nil {
+	if _, err := (Decoder{}).Decode(context.Background(), data[:20]); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 }
@@ -354,11 +307,11 @@ func TestCABACReducesRateVsRawBins(t *testing.T) {
 	with := AllTools
 	without := AllTools
 	without.CABAC = false
-	_, stW, err := Encode([]*frame.Plane{p}, 26, HEVC, with)
+	_, stW, err := encodeSerial(context.Background(), []*frame.Plane{p}, 26, HEVC, with, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stWo, err := Encode([]*frame.Plane{p}, 26, HEVC, without)
+	_, stWo, err := encodeSerial(context.Background(), []*frame.Plane{p}, 26, HEVC, without, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +324,7 @@ func TestOddSizesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, sz := range [][2]int{{1, 1}, {7, 3}, {31, 65}, {33, 31}, {100, 1}} {
 		p := noisePlane(rng, sz[0], sz[1])
-		data, st, err := Encode([]*frame.Plane{p}, 20, HEVC, AllTools)
+		data, st, err := encodeSerial(context.Background(), []*frame.Plane{p}, 20, HEVC, AllTools, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", sz, err)
 		}
@@ -387,7 +340,7 @@ func BenchmarkEncodeHEVC(b *testing.B) {
 	b.SetBytes(int64(p.W * p.H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Encode([]*frame.Plane{p}, 28, HEVC, AllTools); err != nil {
+		if _, _, err := encodeSerial(context.Background(), []*frame.Plane{p}, 28, HEVC, AllTools, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -396,14 +349,14 @@ func BenchmarkEncodeHEVC(b *testing.B) {
 func BenchmarkDecodeHEVC(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	p := gradientPlane(rng, 128, 128)
-	data, _, err := Encode([]*frame.Plane{p}, 28, HEVC, AllTools)
+	data, _, err := encodeSerial(context.Background(), []*frame.Plane{p}, 28, HEVC, AllTools, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(p.W * p.H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data); err != nil {
+		if _, err := (Decoder{}).Decode(context.Background(), data); err != nil {
 			b.Fatal(err)
 		}
 	}

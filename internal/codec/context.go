@@ -17,19 +17,16 @@
 //
 // A canceled call returns exactly ctx.Err() (context.Canceled or
 // context.DeadlineExceeded), never wrapped into the decode-error taxonomy:
-// cancellation is the caller's doing, not a property of the bytes. The
-// classic (context-free) entry points pass context.Background(), whose Done
-// channel is nil, so cancellable() collapses the whole machinery to a single
-// nil pointer check on the hot path — output bytes are unchanged, proved by
-// the golden conformance corpus running through these same code paths.
+// cancellation is the caller's doing, not a property of the bytes. A caller
+// with no deadline passes context.Background(), whose Done channel is nil,
+// so cancellable() collapses the whole machinery to a single nil pointer
+// check on the hot path — output bytes are unchanged, proved by the golden
+// conformance corpus running through these same code paths.
 package codec
 
 import (
 	"context"
 	"errors"
-
-	"repro/internal/frame"
-	"repro/internal/obs"
 )
 
 // cancelAbort carries a context cancellation out of the deep per-CTU loops
@@ -61,55 +58,4 @@ func ctxErr(ctx context.Context) error {
 // deadline blowouts to 504 instead of a payload-error status.
 func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// EncodeParallelCtx is EncodeParallel under a context: the encode observes
-// ctx cancellation at pool, chunk and CTU granularity and returns ctx.Err()
-// promptly with no output. With a background context the output bytes are
-// identical to EncodeParallel. Metrics are recorded into reg (nil = none).
-func EncodeParallelCtx(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, reg *obs.Registry) ([]byte, Stats, error) {
-	return encodeParallel(ctx, planes, qp, prof, tools, workers, newEncMetrics(reg))
-}
-
-// EncodeChecksummedCtx is EncodeChecksummed under a context; see
-// EncodeParallelCtx for the cancellation contract.
-func EncodeChecksummedCtx(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, reg *obs.Registry) ([]byte, Stats, error) {
-	return encodeChecksummed(ctx, planes, qp, prof, tools, workers, newEncMetrics(reg))
-}
-
-// DecodeWorkersCtx is DecodeWorkers under a context: cancellation aborts
-// remaining chunk decodes and returns ctx.Err() (never wrapped into the
-// taxonomy). Metrics are recorded into reg (nil = none).
-func DecodeWorkersCtx(ctx context.Context, data []byte, workers int, reg *obs.Registry) ([]*frame.Plane, error) {
-	m := newDecMetrics(reg)
-	planes, err := decodeDispatch(ctx, data, workers, m)
-	if err != nil {
-		m.countError(err)
-		return nil, err
-	}
-	if m != nil {
-		m.planes.Add(int64(len(planes)))
-	}
-	return planes, nil
-}
-
-// DecodePartialCtx is DecodePartial under a context. Cancellation wins over
-// partial recovery: a canceled call returns ctx.Err() rather than a partial
-// result, since the caller has already walked away.
-func DecodePartialCtx(ctx context.Context, data []byte, workers int, reg *obs.Registry) (*PartialResult, error) {
-	m := newDecMetrics(reg)
-	res, err := decodePartial(ctx, data, workers, m)
-	if err != nil {
-		m.countError(err)
-		return nil, err
-	}
-	if m != nil {
-		m.planes.Add(int64(res.Recovered()))
-		for _, ce := range res.Errors {
-			m.countError(ce.Err)
-			m.partialChunksLost.Inc()
-			m.partialPlanesLost.Add(int64(ce.PlaneCount))
-		}
-	}
-	return res, nil
 }

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -41,7 +40,7 @@ func TestEncodeCanceledPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	data, _, err := EncodeParallelCtx(ctx, planes, 30, HEVC, AllTools, 4, nil)
+	data, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 4}.Encode(ctx, planes, 30)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -68,11 +67,11 @@ func TestEncodePreCanceled(t *testing.T) {
 		run  func() ([]byte, error)
 	}{
 		{"parallel", func() ([]byte, error) {
-			d, _, err := EncodeParallelCtx(ctx, planes, 30, HEVC, AllTools, 2, nil)
+			d, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 2}.Encode(ctx, planes, 30)
 			return d, err
 		}},
 		{"checksummed", func() ([]byte, error) {
-			d, _, err := EncodeChecksummedCtx(ctx, planes, 30, HEVC, AllTools, 2, nil)
+			d, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 2, Container: ContainerChecksummed}.Encode(ctx, planes, 30)
 			return d, err
 		}},
 	} {
@@ -94,7 +93,7 @@ func TestEncodePreCanceled(t *testing.T) {
 // return of the bare cancellation error.
 func TestDecodeCanceledPromptly(t *testing.T) {
 	planes := cancelPlanes(t)
-	data, _, err := EncodeParallel(planes, 30, HEVC, AllTools, 4)
+	data, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 4}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestDecodeCanceledPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	out, err := DecodeWorkersCtx(ctx, data, 4, nil)
+	out, err := Decoder{Workers: 4}.Decode(ctx, data)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -123,7 +122,7 @@ func TestDeadlineExceededMapsCleanly(t *testing.T) {
 	planes := cancelPlanes(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, _, err := EncodeParallelCtx(ctx, planes, 30, HEVC, AllTools, 2, nil)
+	_, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 2}.Encode(ctx, planes, 30)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -135,18 +134,18 @@ func TestDeadlineExceededMapsCleanly(t *testing.T) {
 	}
 }
 
-// TestPartialDecodeCancellationWins: DecodePartialCtx must return ctx.Err()
+// TestPartialDecodeCancellationWins: DecodePartial must return ctx.Err()
 // on cancellation, never a partial result whose "failures" are skipped
 // chunks.
 func TestPartialDecodeCancellationWins(t *testing.T) {
 	planes := cancelPlanes(t)
-	data, _, err := EncodeChecksummed(planes, 30, HEVC, AllTools, 4)
+	data, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 4, Container: ContainerChecksummed}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := DecodePartialCtx(ctx, data, 4, nil)
+	res, err := Decoder{Workers: 4}.DecodePartial(ctx, data)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -155,64 +154,18 @@ func TestPartialDecodeCancellationWins(t *testing.T) {
 	}
 }
 
-// TestBackgroundContextByteIdentity: the Ctx entry points with a background
-// context must produce exactly the bytes of the classic entry points — the
-// nil-collapse in cancellable() keeps the hot path and the bitstream
-// untouched. The golden conformance corpus pins this globally; this test
-// pins it pairwise, including the checksummed v3 path.
-func TestBackgroundContextByteIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	planes := []*frame.Plane{noisePlane(rng, 96, 64), gradientPlane(rng, 64, 96)}
-	classic, _, err := EncodeParallel(planes, 28, HEVC, AllTools, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, _, err := EncodeParallelCtx(context.Background(), planes, 28, HEVC, AllTools, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(classic, ctxed) {
-		t.Error("EncodeParallelCtx(Background) bytes differ from EncodeParallel")
-	}
-	classicV3, _, err := EncodeChecksummed(planes, 28, HEVC, AllTools, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxedV3, _, err := EncodeChecksummedCtx(context.Background(), planes, 28, HEVC, AllTools, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(classicV3, ctxedV3) {
-		t.Error("EncodeChecksummedCtx(Background) bytes differ from EncodeChecksummed")
-	}
-	// And the ctx-decoded planes must round-trip identically.
-	a, err := DecodeWorkers(classic, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DecodeWorkersCtx(context.Background(), classic, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if !bytes.Equal(a[i].Pix, b[i].Pix) {
-			t.Fatalf("plane %d pixels differ between Decode and DecodeCtx", i)
-		}
-	}
-}
-
 // TestCanceledMetricTaxonomy: a canceled decode bumps the dedicated
 // errors.canceled counter, not the corrupt/truncated/checksum taxonomy.
 func TestCanceledMetricTaxonomy(t *testing.T) {
 	planes := cancelPlanes(t)
-	data, _, err := EncodeParallel(planes, 30, HEVC, AllTools, 4)
+	data, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 4}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reg := obs.NewRegistry()
-	if _, err := DecodeWorkersCtx(ctx, data, 2, reg); !errors.Is(err, context.Canceled) {
+	if _, err := (Decoder{Workers: 2, Metrics: reg}).Decode(ctx, data); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	snap := reg.Snapshot()

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -19,7 +20,7 @@ func corpusStreams(t testing.TB) (v1, v2, v3 []byte, v23Planes []*frame.Plane) {
 	rng := rand.New(rand.NewSource(42))
 
 	single := []*frame.Plane{gradientPlane(rng, 48, 40)}
-	v1, _, err := EncodeParallel(single, 30, HEVC, AllTools, 1)
+	v1, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 1}.Encode(context.Background(), single, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +34,14 @@ func corpusStreams(t testing.TB) (v1, v2, v3 []byte, v23Planes []*frame.Plane) {
 	for i := range v23Planes {
 		v23Planes[i] = gradientPlane(rng, 64, 64)
 	}
-	v2, _, err = EncodeParallel(v23Planes, 30, HEVC, AllTools, 2)
+	v2, _, err = Encoder{Profile: HEVC, Tools: AllTools, Workers: 2}.Encode(context.Background(), v23Planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v2[4] != versionChunked {
 		t.Fatalf("multi-chunk encode emitted version %d, want %d", v2[4], versionChunked)
 	}
-	v3, _, err = EncodeChecksummed(v23Planes, 30, HEVC, AllTools, 2)
+	v3, _, err = Encoder{Profile: HEVC, Tools: AllTools, Workers: 2, Container: ContainerChecksummed}.Encode(context.Background(), v23Planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +51,9 @@ func corpusStreams(t testing.TB) (v1, v2, v3 []byte, v23Planes []*frame.Plane) {
 	return v1, v2, v3, v23Planes
 }
 
-// strictDecoder adapts DecodeWorkers to the fault-injection signature.
+// strictDecoder adapts Decoder.Decode to the fault-injection signature.
 func strictDecoder(data []byte) error {
-	_, err := DecodeWorkers(data, 1)
+	_, err := Decoder{Workers: 1}.Decode(context.Background(), data)
 	return err
 }
 
@@ -87,7 +88,7 @@ func TestTruncationSweepAllVersions(t *testing.T) {
 			t.Fatalf("%s: %d of %d truncations rejected", tc.name, res.Rejected, res.Trials)
 		}
 		// Spot-check the error taxonomy on a mid-payload truncation.
-		_, err := DecodeWorkers(tc.data[:len(tc.data)-1], 1)
+		_, err := Decoder{Workers: 1}.Decode(context.Background(), tc.data[:len(tc.data)-1])
 		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrChecksum) {
 			t.Fatalf("%s: untyped truncation error %v", tc.name, err)
 		}
@@ -135,7 +136,7 @@ func TestV3DetectsEveryBitFlip(t *testing.T) {
 	payloadStart := payloadOffset(t, v3)
 	bad := append([]byte(nil), v3...)
 	bad[payloadStart+3] ^= 0x10
-	if _, err := DecodeWorkers(bad, 1); !errors.Is(err, ErrChecksum) {
+	if _, err := (Decoder{Workers: 1}).Decode(context.Background(), bad); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("payload flip: got %v, want ErrChecksum", err)
 	}
 	// A structurally plausible header flip — one that earlier bounds checks
@@ -144,7 +145,7 @@ func TestV3DetectsEveryBitFlip(t *testing.T) {
 	// knows it is wrong.
 	bad = append([]byte(nil), v3...)
 	bad[15] ^= 0x01
-	if _, err := DecodeWorkers(bad, 1); !errors.Is(err, ErrChecksum) {
+	if _, err := (Decoder{Workers: 1}).Decode(context.Background(), bad); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("header flip: got %v, want ErrChecksum", err)
 	}
 }
@@ -180,14 +181,14 @@ func payloadOffset(t *testing.T, v3 []byte) int {
 // worker counts — byte-identical containers for 1 and 4 workers.
 func TestValidStreamsStillRoundTrip(t *testing.T) {
 	v1, v2, v3, planes := corpusStreams(t)
-	if _, err := DecodeWorkers(v1, 1); err != nil {
+	if _, err := (Decoder{Workers: 1}).Decode(context.Background(), v1); err != nil {
 		t.Fatalf("v1 decode: %v", err)
 	}
-	p2, err := DecodeWorkers(v2, 2)
+	p2, err := Decoder{Workers: 2}.Decode(context.Background(), v2)
 	if err != nil {
 		t.Fatalf("v2 decode: %v", err)
 	}
-	p3, err := DecodeWorkers(v3, 2)
+	p3, err := Decoder{Workers: 2}.Decode(context.Background(), v3)
 	if err != nil {
 		t.Fatalf("v3 decode: %v", err)
 	}
@@ -200,12 +201,12 @@ func TestValidStreamsStillRoundTrip(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		again, _, err := EncodeChecksummed(planes, 30, HEVC, AllTools, workers)
+		again, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: workers, Container: ContainerChecksummed}.Encode(context.Background(), planes, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(again, v3) {
-			t.Fatalf("EncodeChecksummed not deterministic at %d workers", workers)
+			t.Fatalf("ContainerChecksummed not deterministic at %d workers", workers)
 		}
 	}
 }
@@ -216,7 +217,7 @@ func TestValidStreamsStillRoundTrip(t *testing.T) {
 // the damaged chunk as ErrChecksum.
 func TestDecodePartialRecoversUndamagedChunks(t *testing.T) {
 	_, _, v3, _ := corpusStreams(t)
-	clean, err := DecodeWorkers(v3, 1)
+	clean, err := Decoder{Workers: 1}.Decode(context.Background(), v3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestDecodePartialRecoversUndamagedChunks(t *testing.T) {
 		}
 		bad[off+len(pc.chunks[damaged].payload)/2] ^= 0x40
 
-		res, err := DecodePartial(bad, 2)
+		res, err := Decoder{Workers: 2}.DecodePartial(context.Background(), bad)
 		if err != nil {
 			t.Fatalf("chunk %d damaged: DecodePartial top-level error %v", damaged, err)
 		}
@@ -275,7 +276,7 @@ func TestDecodePartialTruncatedTail(t *testing.T) {
 	}
 	last := len(pc.chunks) - 1
 	cut := len(v3) - len(pc.chunks[last].payload)/2
-	res, err := DecodePartial(v3[:cut], 1)
+	res, err := Decoder{Workers: 1}.DecodePartial(context.Background(), v3[:cut])
 	if err != nil {
 		t.Fatalf("top-level error: %v", err)
 	}
@@ -289,19 +290,19 @@ func TestDecodePartialTruncatedTail(t *testing.T) {
 	}
 }
 
-// TestDecodePartialOnCleanStreams: DecodePartial is a drop-in for
-// DecodeWorkers on undamaged input, for every version.
+// TestDecodePartialOnCleanStreams: DecodePartial is a drop-in for Decode on
+// undamaged input, for every version.
 func TestDecodePartialOnCleanStreams(t *testing.T) {
 	v1, v2, v3, _ := corpusStreams(t)
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{{"v1", v1}, {"v2", v2}, {"v3", v3}} {
-		strict, err := DecodeWorkers(tc.data, 1)
+		strict, err := Decoder{Workers: 1}.Decode(context.Background(), tc.data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := DecodePartial(tc.data, 1)
+		res, err := Decoder{Workers: 1}.DecodePartial(context.Background(), tc.data)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -333,7 +334,7 @@ func TestAllocationCapRejectsForgedDims(t *testing.T) {
 		b.Write([]byte{0, 0, 32, 0, 0, 0, 32, 0}) // 8192 × 8192
 	}
 	b.Write([]byte{0, 0, 0, 0})
-	if _, err := DecodeWorkers(b.Bytes(), 1); !errors.Is(err, ErrCorrupt) {
+	if _, err := (Decoder{Workers: 1}).Decode(context.Background(), b.Bytes()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged 320Mpx header: got %v, want ErrCorrupt", err)
 	}
 
@@ -347,7 +348,7 @@ func TestAllocationCapRejectsForgedDims(t *testing.T) {
 	c.Write([]byte{0, 0, 0, 1})
 	c.Write([]byte{0x7F, 0xFF, 0xFF, 0xFF, 0, 0, 0, 16}) // 2³¹-1 wide
 	c.Write([]byte{0, 0, 0, 0})
-	if _, err := DecodeWorkers(c.Bytes(), 1); !errors.Is(err, ErrCorrupt) {
+	if _, err := (Decoder{Workers: 1}).Decode(context.Background(), c.Bytes()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged 2³¹ dim: got %v, want ErrCorrupt", err)
 	}
 }

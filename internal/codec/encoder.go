@@ -65,17 +65,10 @@ type encoder struct {
 	rec *stageRecorder
 }
 
-// Encode compresses planes at the given QP with the selected profile and
-// tools, returning the bitstream and encode statistics. The planes are coded
-// as one sequence (a single substream with shared entropy contexts) in the
-// version-1 container; see EncodeParallel for the chunked multi-substream
-// engine.
-func Encode(planes []*frame.Plane, qp int, prof Profile, tools Tools) ([]byte, Stats, error) {
-	return encodeSerial(context.Background(), planes, qp, prof, tools, nil)
-}
-
-// encodeSerial is the observable core of Encode: one shared-context
-// substream in the version-1 container.
+// encodeSerial codes planes as one shared-context substream in the
+// version-1 container. It is ContainerAuto's single-chunk path; called
+// directly it also writes multi-plane v1 containers, which the golden
+// corpus and the decoder tests use as fixtures.
 func encodeSerial(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, m *encMetrics) ([]byte, Stats, error) {
 	if err := validateEncode(planes, qp, prof, tools); err != nil {
 		return nil, Stats{}, err
@@ -84,7 +77,7 @@ func encodeSerial(ctx context.Context, planes []*frame.Plane, qp int, prof Profi
 		// rANS containers are always version 3: the shared probability table
 		// lives in the checksummed header's backend extension, so the v1
 		// framing cannot carry them. CABAC output is untouched.
-		return encodeChecksummed(ctx, planes, qp, prof, tools, 1, m)
+		return encodeV3(ctx, planes, qp, prof, tools, 1, m, false, nil)
 	}
 	var chunkStart time.Time
 	if m != nil {
@@ -129,10 +122,23 @@ func encodeSerial(ctx context.Context, planes []*frame.Plane, qp int, prof Profi
 	return out, st, nil
 }
 
-// validateEncode checks the shared preconditions of Encode and EncodeParallel.
+// validateEncode checks the preconditions every encode path shares. Plane
+// defects that leave nothing to code — no planes, a nil plane, a zero
+// dimension, or fewer pixels than the dimensions claim — match
+// ErrEmptyInput.
 func validateEncode(planes []*frame.Plane, qp int, prof Profile, tools Tools) error {
 	if len(planes) == 0 {
-		return errors.New("codec: no frames")
+		return fmt.Errorf("codec: no planes to encode: %w", ErrEmptyInput)
+	}
+	for i, p := range planes {
+		switch {
+		case p == nil:
+			return fmt.Errorf("codec: plane %d is nil: %w", i, ErrEmptyInput)
+		case p.W <= 0 || p.H <= 0:
+			return fmt.Errorf("codec: plane %d is %dx%d: %w", i, p.W, p.H, ErrEmptyInput)
+		case len(p.Pix) < p.W*p.H:
+			return fmt.Errorf("codec: plane %d is %dx%d but holds %d pixels: %w", i, p.W, p.H, len(p.Pix), ErrEmptyInput)
+		}
 	}
 	if qp < 0 || qp > dct.MaxQP {
 		return fmt.Errorf("codec: qp %d out of range", qp)

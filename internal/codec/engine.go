@@ -11,9 +11,8 @@
 // Determinism: the chunk partition is a pure function of the plane list and
 // the tool set, every chunk is encoded by a self-contained encoder, and the
 // substreams are stitched in chunk order. Output bytes therefore do not
-// depend on the worker count or on goroutine scheduling:
-// EncodeParallel(planes, …, 1) == EncodeParallel(planes, …, N) bit for bit
-// (and likewise for EncodeChecksummed).
+// depend on the worker count or on goroutine scheduling: an Encoder with
+// Workers 1 and one with Workers N emit the same bytes, for every Container.
 //
 // Version-2 container layout (all integers big-endian):
 //
@@ -35,7 +34,8 @@
 // The header CRC covers the preamble, dim table and chunk table, so a
 // decoder never acts on damaged geometry; each payload CRC is verified
 // before the substream is parsed, so bit-rot inside a chunk surfaces as
-// ErrChecksum (and, under DecodePartial, damages only that chunk's planes).
+// ErrChecksum (and, under Decoder.DecodePartial, damages only that chunk's
+// planes).
 // CRC32C (Castagnoli) is used for its hardware support on both x86 and arm.
 //
 // Each payload is a self-delimiting substream identical in format to a
@@ -57,11 +57,11 @@ import (
 )
 
 // versionChunked is the bitstream version of the chunked multi-substream
-// container produced by EncodeParallel.
+// container produced by ContainerAuto.
 const versionChunked = 2
 
 // versionChecksummed is the bitstream version of the hardened container
-// produced by EncodeChecksummed: chunked framing plus CRC32C integrity on
+// produced by ContainerChecksummed: chunked framing plus CRC32C integrity on
 // the header and on every chunk payload.
 const versionChecksummed = 3
 
@@ -117,35 +117,24 @@ func chunkSpans(planes []*frame.Plane, tools Tools) [][2]int {
 	return spans
 }
 
-// encodeChunksParallel encodes each span as an independent substream on a
-// pool of `workers` goroutines, returning per-chunk payloads and per-chunk
-// reconstructions in span order. When metrics are enabled it additionally
-// records per-chunk makespans, pool busy/wall time (utilization =
-// busy/wall) and tags each worker goroutine with pprof labels.
+// encodeChunksParallel encodes each span as an independent substream on
+// the chunk pool, returning per-chunk payloads and per-chunk
+// reconstructions in span order. With metrics enabled it also records each
+// chunk's makespan.
 //
-// Cancellation: workers check ctx before picking up each chunk (skipping
-// queued jobs of a canceled call) and encodeChunk aborts mid-chunk at CTU
-// granularity; the first cancellation or chunk error is returned after the
-// pool drains, with no partial output.
+// Cancellation: a canceled call skips its queued chunks and encodeChunk
+// aborts mid-chunk at CTU granularity; the first cancellation or chunk
+// error is returned after the pool drains, with no partial output.
 func encodeChunksParallel(ctx context.Context, planes []*frame.Plane, spans [][2]int, qp int, prof Profile, tools Tools, workers int, m *encMetrics) ([][]byte, []*ransRecord, [][]*frame.Plane, error) {
 	payloads := make([][]byte, len(spans))
 	records := make([]*ransRecord, len(spans))
 	recs := make([][]*frame.Plane, len(spans))
 	errs := make([]error, len(spans))
-	workers = normalizeWorkers(workers)
-	if workers > len(spans) {
-		workers = len(spans)
-	}
-	var wallStart time.Time
+	var pm *poolMetrics
 	if m != nil {
-		wallStart = time.Now()
-		m.poolWorkers.Observe(int64(workers))
+		pm = &m.pool
 	}
-	// Each pool worker checks out one scratch arena for its whole job run,
-	// so per-chunk encoder state is reused instead of reallocated; the
-	// serial (workers == 1) path shares the exact same code via a single
-	// checkout.
-	encodeOne := func(i int, scr *scratch) {
+	runPool("encode", len(spans), workers, pm, func(i int, scr *scratch) {
 		if errs[i] = ctxErr(ctx); errs[i] != nil {
 			return // canceled before the chunk started; skip the encode
 		}
@@ -157,19 +146,40 @@ func encodeChunksParallel(ctx context.Context, planes []*frame.Plane, spans [][2
 			return
 		}
 		payloads[i], records[i], recs[i], errs[i] = encodeChunk(ctx, planes[s[0]:s[1]], qp, prof, tools, nil, scr)
+	})
+	return payloads, records, recs, firstErr(errs)
+}
+
+// runPool runs job(i, scr) for every chunk i in [0, n) on
+// min(workers, n) goroutines (workers <= 0 selects GOMAXPROCS), handing
+// chunks out in order. Each worker checks out one scratch arena for its
+// whole job run, so per-chunk codec state is reused instead of
+// reallocated; a one-worker pool runs on the calling goroutine through the
+// same job function. With metrics enabled (pm != nil) it records the pool
+// size and busy/wall worker-time (utilization = busy/wall), and tags each
+// worker goroutine with pprof labels llm265_pool=label, llm265_worker=w.
+func runPool(label string, n, workers int, pm *poolMetrics, job func(i int, scr *scratch)) {
+	workers = normalizeWorkers(workers)
+	if workers > n {
+		workers = n
+	}
+	var wallStart time.Time
+	if pm != nil {
+		wallStart = time.Now()
+		pm.workers.Observe(int64(workers))
 	}
 	if workers == 1 {
 		scr := getScratch()
-		for i := range spans {
-			encodeOne(i, scr)
+		for i := 0; i < n; i++ {
+			job(i, scr)
 		}
 		putScratch(scr)
-		if m != nil {
+		if pm != nil {
 			wall := int64(time.Since(wallStart))
-			m.poolBusy.Add(wall)
-			m.poolWall.Add(wall)
+			pm.busy.Add(wall)
+			pm.wall.Add(wall)
 		}
-		return payloads, records, recs, firstErr(errs)
+		return
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -182,30 +192,29 @@ func encodeChunksParallel(ctx context.Context, planes []*frame.Plane, spans [][2
 				var busy int64
 				for i := range jobs {
 					t0 := time.Now()
-					encodeOne(i, scr)
+					job(i, scr)
 					busy += int64(time.Since(t0))
 				}
 				putScratch(scr)
-				if m != nil {
-					m.poolBusy.Add(busy)
+				if pm != nil {
+					pm.busy.Add(busy)
 				}
 			}
-			if m != nil {
-				workerLabels("encode", w, work)
+			if pm != nil {
+				workerLabels(label, w, work)
 			} else {
 				work()
 			}
 		}(w)
 	}
-	for i := range spans {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	if m != nil {
-		m.poolWall.Add(int64(time.Since(wallStart)) * int64(workers))
+	if pm != nil {
+		pm.wall.Add(int64(time.Since(wallStart)) * int64(workers))
 	}
-	return payloads, records, recs, firstErr(errs)
 }
 
 // firstErr returns the first non-nil error of a per-chunk error slice.
@@ -253,33 +262,22 @@ func writeHeaderDims(head *bytes.Buffer, version byte, dims [][2]int, qp int, pr
 	}
 }
 
-// EncodeParallel compresses planes at the given QP like Encode, but encodes
-// independent plane chunks concurrently on a pool of `workers` goroutines
-// (workers <= 0 selects runtime.GOMAXPROCS(0)) and emits the chunked
-// version-2 container; when the partition collapses to a single chunk (small
-// workloads, or inter prediction serializing the frames) it emits the
-// version-1 container byte-identically to Encode. Each worker owns its full
-// encoder state (entropy contexts, transforms, reconstruction buffers), and
-// substreams are stitched in chunk order, so the output is byte-identical
-// for every worker count.
-func EncodeParallel(planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int) ([]byte, Stats, error) {
-	return encodeParallel(context.Background(), planes, qp, prof, tools, workers, nil)
-}
-
-// encodeParallel is the observable core of EncodeParallel.
-func encodeParallel(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, m *encMetrics) ([]byte, Stats, error) {
+// encodeAuto emits ContainerAuto: the version-1 container when the planes
+// form one chunk (byte-identical to encodeSerial), the chunked version-2
+// container otherwise, and version 3 for rANS.
+func encodeAuto(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, m *encMetrics) ([]byte, Stats, error) {
 	if err := validateEncode(planes, qp, prof, tools); err != nil {
 		return nil, Stats{}, err
 	}
 	if tools.Backend != BackendCABAC {
 		// rANS streams need the v3 header's backend extension (shared
 		// probability table); route them to the hardened container.
-		return encodeChecksummed(ctx, planes, qp, prof, tools, workers, m)
+		return encodeV3(ctx, planes, qp, prof, tools, workers, m, false, nil)
 	}
 	spans := chunkSpans(planes, tools)
 	if len(spans) == 1 {
 		// A single chunk has no parallelism to exploit; emit the version-1
-		// container, which is byte-identical to the serial Encode path (one
+		// container, which is byte-identical to the serial encode path (one
 		// shared-context substream, 4-byte length prefix instead of a chunk
 		// table). This keeps small workloads bit-compatible with historical
 		// streams and free of chunking overhead.
@@ -319,36 +317,15 @@ func encodeParallel(ctx context.Context, planes []*frame.Plane, qp int, prof Pro
 	return out, st, nil
 }
 
-// EncodeChecksummed compresses planes like EncodeParallel but always emits
-// the hardened version-3 container: the header (preamble, dim table, chunk
-// table) is covered by a CRC32C, and every chunk payload carries its own
-// CRC32C, verified before decode. Unlike EncodeParallel it never falls back
-// to version 1 — a single-chunk workload still gets a one-entry chunk table,
-// because integrity framing is the point. Output bytes are identical for
-// every worker count.
-func EncodeChecksummed(planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int) ([]byte, Stats, error) {
-	return encodeChecksummed(context.Background(), planes, qp, prof, tools, workers, nil)
-}
-
-// encodeChecksummed is the observable core of EncodeChecksummed.
-func encodeChecksummed(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, m *encMetrics) ([]byte, Stats, error) {
-	return encodeV3(ctx, planes, qp, prof, tools, workers, m, nil)
-}
-
-// indexSpec asks encodeV3 to append the chunk-index trailer. regions is
-// either nil (the index carries offsets/CRCs only) or one rect per plane.
-type indexSpec struct {
-	regions []PlaneRegion
-}
-
-// encodeV3 emits the hardened container, optionally extended with the
-// chunk-index trailer (idx != nil).
-func encodeV3(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, m *encMetrics, idx *indexSpec) ([]byte, Stats, error) {
+// encodeV3 emits the hardened version-3 container, extended with the
+// chunk-index trailer when indexed is set. regions is either nil (the index
+// carries offsets and CRCs only) or one rect per plane.
+func encodeV3(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, m *encMetrics, indexed bool, regions []PlaneRegion) ([]byte, Stats, error) {
 	if err := validateEncode(planes, qp, prof, tools); err != nil {
 		return nil, Stats{}, err
 	}
-	if idx != nil && idx.regions != nil && len(idx.regions) != len(planes) {
-		return nil, Stats{}, fmt.Errorf("codec: %d index regions for %d planes", len(idx.regions), len(planes))
+	if regions != nil && len(regions) != len(planes) {
+		return nil, Stats{}, fmt.Errorf("codec: %d index regions for %d planes", len(regions), len(planes))
 	}
 	spans := chunkSpans(planes, tools)
 	payloads, records, recs, err := encodeChunksParallel(ctx, planes, spans, qp, prof, tools, workers, m)
@@ -389,7 +366,7 @@ func encodeV3(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, 
 	}
 	binary.Write(&head, binary.BigEndian, crc32.Checksum(head.Bytes(), crcTable))
 	var trailer []byte
-	if idx != nil {
+	if indexed {
 		// The index restates the chunk table with absolute offsets (plus the
 		// caller's region rects), so a reader can locate any chunk without
 		// walking the payloads — and a store can address them individually.
@@ -405,7 +382,7 @@ func encodeV3(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, 
 			}
 			off += int64(len(payloads[i]))
 		}
-		trailer = buildTrailer(entries, idx.regions)
+		trailer = buildTrailer(entries, regions)
 		total += len(trailer)
 	}
 	out := make([]byte, 0, total)
@@ -475,8 +452,9 @@ type parsedContainer struct {
 // mismatch, impossible counts — aborts with an error. In lenient mode,
 // defects confined to a single chunk (payload runs past the end of data, or
 // a payload CRC mismatch) are recorded on that chunk's meta.err so
-// DecodePartial can still recover the others; defects in the shared header
-// or chunk table still abort, because no geometry can be trusted after them.
+// Decoder.DecodePartial can still recover the others; defects in the shared
+// header or chunk table still abort, because no geometry can be trusted
+// after them.
 func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 	if err := checkPreamble(data); err != nil {
 		return nil, err
@@ -647,27 +625,27 @@ func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 	return pc, nil
 }
 
-// decodeChunks decodes every usable chunk of a parsed container on a pool
-// of `workers` goroutines. Failed chunks leave nil planes and produce a
-// ChunkError; recovered planes land at their container positions. With
-// metrics enabled it records per-chunk decode times, pool busy/wall time
-// and pprof worker labels, mirroring the encode pool. Cancellation mirrors
-// the encode pool too: queued chunks of a canceled call are skipped, and
-// in-flight chunks abort at CTU granularity; callers must check ctx after
-// the pool drains (a canceled call's error is ctx.Err(), not a ChunkError).
+// decodeChunks decodes every usable chunk of a parsed container on the
+// chunk pool. Failed chunks leave nil planes and produce a ChunkError;
+// recovered planes land at their container positions. With metrics enabled
+// it records per-chunk decode times. A canceled call skips its queued
+// chunks and in-flight chunks abort at CTU granularity; callers must check
+// ctx after the pool drains (a canceled call's error is ctx.Err(), not a
+// ChunkError).
 func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decMetrics) ([]*frame.Plane, []ChunkError) {
 	planes := make([]*frame.Plane, len(pc.dims))
 	errs := make([]error, len(pc.chunks))
-	workers = normalizeWorkers(workers)
 	// Intra-chunk lane parallelism (rANS backend only): when the pool has
 	// more workers than chunks, the surplus goes to parallel rANS state
 	// decoding inside each chunk — the whole point of the interleaved
-	// backend. Computed before the chunk-count clamp below, since that clamp
-	// is exactly what discards the surplus. Output is identical either way.
-	laneParallel := pc.tools.Backend == BackendRANS && workers > len(pc.chunks)
-	// Like the encode pool, each decode worker owns one scratch arena for
-	// its whole job run.
-	decodeOne := func(i int, scr *scratch) {
+	// backend. The pool clamps its size to the chunk count, which is
+	// exactly what discards the surplus. Output is identical either way.
+	laneParallel := pc.tools.Backend == BackendRANS && normalizeWorkers(workers) > len(pc.chunks)
+	var pm *poolMetrics
+	if m != nil {
+		pm = &m.pool
+	}
+	runPool("decode", len(pc.chunks), workers, pm, func(i int, scr *scratch) {
 		if errs[i] = ctxErr(ctx); errs[i] != nil {
 			return // canceled before the chunk started; skip the decode
 		}
@@ -690,63 +668,7 @@ func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decM
 			return
 		}
 		copy(planes[c.planeBase:], ps)
-	}
-
-	if workers > len(pc.chunks) {
-		workers = len(pc.chunks)
-	}
-	var wallStart time.Time
-	if m != nil {
-		wallStart = time.Now()
-		m.poolWorkers.Observe(int64(workers))
-	}
-	if workers == 1 {
-		scr := getScratch()
-		for i := range pc.chunks {
-			decodeOne(i, scr)
-		}
-		putScratch(scr)
-		if m != nil {
-			wall := int64(time.Since(wallStart))
-			m.poolBusy.Add(wall)
-			m.poolWall.Add(wall)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				work := func() {
-					scr := getScratch()
-					var busy int64
-					for i := range jobs {
-						t0 := time.Now()
-						decodeOne(i, scr)
-						busy += int64(time.Since(t0))
-					}
-					putScratch(scr)
-					if m != nil {
-						m.poolBusy.Add(busy)
-					}
-				}
-				if m != nil {
-					workerLabels("decode", w, work)
-				} else {
-					work()
-				}
-			}(w)
-		}
-		for i := range pc.chunks {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		if m != nil {
-			m.poolWall.Add(int64(time.Since(wallStart)) * int64(workers))
-		}
-	}
+	})
 
 	var chunkErrs []ChunkError
 	for i, err := range errs {
@@ -762,8 +684,8 @@ func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decM
 	return planes, chunkErrs
 }
 
-// decodeV1 parses the legacy single-substream container (kept as the
-// fast path for Decode on version-1 data; also exercised via DecodeWorkers).
+// decodeV1 parses the legacy single-substream container: the fast path for
+// version-1 data, decoded serially on the calling goroutine.
 func decodeV1(ctx context.Context, data []byte, m *decMetrics) ([]*frame.Plane, error) {
 	pc, err := parseContainerObs(data, false, m)
 	if err != nil {
@@ -814,8 +736,8 @@ func parseContainerObs(data []byte, lenient bool, m *decMetrics) (*parsedContain
 	return pc, err
 }
 
-// decodeDispatch routes a container of any version to its decoder; shared
-// by Decode, DecodeWorkers and their Obs/Ctx twins.
+// decodeDispatch routes a container of any version to its decoder for
+// Decoder.Decode.
 func decodeDispatch(ctx context.Context, data []byte, workers int, m *decMetrics) ([]*frame.Plane, error) {
 	if err := checkPreamble(data); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,12 +10,12 @@ import (
 	"repro/internal/obs"
 )
 
-// TestEncodeEquivalenceMatrix is the one-table differential contract over
-// every encode surface: for each awkward-shape workload, every worker count
-// and the instrumented Obs twin must produce byte-identical streams, and
-// every decode surface must reproduce identical planes. Single-chunk
-// workloads additionally require the serial v1 entry point to match
-// byte-for-byte (its container fallback rule).
+// TestEncodeEquivalenceMatrix is the differential contract over awkward
+// shapes: for each workload, every worker count and an encode with a live
+// metrics registry must produce byte-identical streams, and every decode
+// configuration must reproduce identical planes. Single-chunk workloads
+// additionally require the serial v1 path to match byte-for-byte (its
+// container fallback rule).
 func TestEncodeEquivalenceMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	constPlane := func(w, h int, v uint8) *frame.Plane {
@@ -52,12 +53,12 @@ func TestEncodeEquivalenceMatrix(t *testing.T) {
 				name += "+fast"
 			}
 			t.Run(name, func(t *testing.T) {
-				ref, _, err := EncodeParallel(tc.planes, 26, prof, AllTools, 1)
+				ref, _, err := Encoder{Profile: prof, Tools: AllTools, Workers: 1}.Encode(context.Background(), tc.planes, 26)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 4, 8} {
-					data, _, err := EncodeParallel(tc.planes, 26, prof, AllTools, workers)
+					data, _, err := Encoder{Profile: prof, Tools: AllTools, Workers: workers}.Encode(context.Background(), tc.planes, 26)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -65,28 +66,28 @@ func TestEncodeEquivalenceMatrix(t *testing.T) {
 						t.Errorf("workers=%d bytes differ from workers=1", workers)
 					}
 				}
-				// Obs twin with a live registry.
+				// A live metrics registry.
 				reg := obs.NewRegistry()
-				data, _, err := EncodeParallelObs(tc.planes, 26, prof, AllTools, 4, reg)
+				data, _, err := Encoder{Profile: prof, Tools: AllTools, Workers: 4, Metrics: reg}.Encode(context.Background(), tc.planes, 26)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(data, ref) {
-					t.Error("Obs-twin bytes differ from plain EncodeParallel")
+					t.Error("bytes with a metrics registry differ from bytes without")
 				}
 				// Serial v1 fallback: single-chunk containers must equal the
 				// serial entry point byte-for-byte.
 				if ref[4] == 1 {
-					serial, _, err := Encode(tc.planes, 26, prof, AllTools)
+					serial, _, err := encodeSerial(context.Background(), tc.planes, 26, prof, AllTools, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(serial, ref) {
-						t.Error("serial Encode differs from single-chunk EncodeParallel")
+						t.Error("encodeSerial differs from single-chunk ContainerAuto")
 					}
 				}
 				// Every decode surface agrees.
-				refDec, err := DecodeWorkers(ref, 1)
+				refDec, err := Decoder{Workers: 1}.Decode(context.Background(), ref)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,7 +98,7 @@ func TestEncodeEquivalenceMatrix(t *testing.T) {
 					}
 				}
 				for _, workers := range []int{2, 8} {
-					dec, err := DecodeWorkers(ref, workers)
+					dec, err := Decoder{Workers: workers}.Decode(context.Background(), ref)
 					if err != nil {
 						t.Fatalf("decode workers=%d: %v", workers, err)
 					}
@@ -107,13 +108,13 @@ func TestEncodeEquivalenceMatrix(t *testing.T) {
 						}
 					}
 				}
-				decObs, err := DecodeWorkersObs(ref, 4, obs.NewRegistry())
+				decObs, err := Decoder{Workers: 4, Metrics: obs.NewRegistry()}.Decode(context.Background(), ref)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := range decObs {
 					if !decObs[i].Equal(refDec[i]) {
-						t.Errorf("Obs-twin decode plane %d differs", i)
+						t.Errorf("decode with metrics: plane %d differs", i)
 					}
 				}
 			})

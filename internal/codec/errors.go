@@ -7,9 +7,9 @@ import (
 	"repro/internal/bits"
 )
 
-// Decode-path error taxonomy. Every decode entry point (Decode,
-// DecodeWorkers, DecodePartial) returns errors that match exactly one of
-// these sentinels under errors.Is, never panics:
+// Decode-path error taxonomy. Every Decoder method (Decode, DecodePartial,
+// DecodeRegion) returns errors that match exactly one of these sentinels
+// under errors.Is, never panics:
 //
 //   - ErrTruncated: the container or a substream ends before the data it
 //     declares. Retrying with the complete stream should succeed.
@@ -30,11 +30,10 @@ var (
 	ErrChecksum = errors.New("codec: checksum mismatch")
 )
 
-// ErrEmptyInput reports an encode request over zero pixels — an empty plane
-// list, a nil plane, or a plane with a zero dimension. Rate-control searches
-// reject such inputs up front: bits-per-pixel is undefined at zero pixels
-// (0/0 → NaN), which would otherwise silently break the bisection's
-// comparison logic.
+// ErrEmptyInput reports an encode request with nothing codable in it: an
+// empty plane list, a nil plane, a plane with a zero dimension, or a plane
+// whose pixel slice is shorter than its dimensions. Every encode path
+// rejects such input before any plane is touched.
 var ErrEmptyInput = errors.New("codec: empty input")
 
 // errMalformed is the legacy name for a structural violation; kept as an

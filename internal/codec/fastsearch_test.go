@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func TestFastSearchEnvelope(t *testing.T) {
 			fast.FastSearch = true
 
 			encode := func(p Profile) float64 {
-				data, _, err := Encode(planes, qp, p, AllTools)
+				data, _, err := encodeSerial(context.Background(), planes, qp, p, AllTools, nil)
 				if err != nil {
 					t.Fatalf("%s qp=%d: %v", base.Name, qp, err)
 				}
@@ -85,11 +86,11 @@ func TestFastSearchFasterThanExhaustive(t *testing.T) {
 
 	wall := func(p Profile) time.Duration {
 		// Warm-up excludes pool population and first-touch costs.
-		if _, _, err := Encode(planes, 28, p, AllTools); err != nil {
+		if _, _, err := encodeSerial(context.Background(), planes, 28, p, AllTools, nil); err != nil {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		if _, _, err := Encode(planes, 28, p, AllTools); err != nil {
+		if _, _, err := encodeSerial(context.Background(), planes, 28, p, AllTools, nil); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -114,12 +115,12 @@ func TestFastSearchDeterministicAcrossWorkers(t *testing.T) {
 	fast := HEVC
 	fast.FastSearch = true
 
-	ref, _, err := EncodeParallel(planes, 30, fast, AllTools, 1)
+	ref, _, err := Encoder{Profile: fast, Tools: AllTools, Workers: 1}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		data, _, err := EncodeParallel(planes, 30, fast, AllTools, workers)
+		data, _, err := Encoder{Profile: fast, Tools: AllTools, Workers: workers}.Encode(context.Background(), planes, 30)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -128,12 +129,12 @@ func TestFastSearchDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	// Decode with no FastSearch knowledge at several pool sizes.
-	refDec, err := DecodeWorkers(ref, 1)
+	refDec, err := Decoder{Workers: 1}.Decode(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		dec, err := DecodeWorkers(ref, workers)
+		dec, err := Decoder{Workers: workers}.Decode(context.Background(), ref)
 		if err != nil {
 			t.Fatalf("decode workers=%d: %v", workers, err)
 		}
@@ -169,11 +170,11 @@ func TestFastSearchAwkwardShapes(t *testing.T) {
 			}
 			planes := []*frame.Plane{p}
 
-			dataDef, _, err := Encode(planes, 20, HEVC, AllTools)
+			dataDef, _, err := encodeSerial(context.Background(), planes, 20, HEVC, AllTools, nil)
 			if err != nil {
 				t.Fatalf("%dx%d const=%v default: %v", sh.w, sh.h, constant, err)
 			}
-			dataFast, _, err := Encode(planes, 20, fast, AllTools)
+			dataFast, _, err := encodeSerial(context.Background(), planes, 20, fast, AllTools, nil)
 			if err != nil {
 				t.Fatalf("%dx%d const=%v fast: %v", sh.w, sh.h, constant, err)
 			}
@@ -195,11 +196,11 @@ func TestFastSearchNotSerialized(t *testing.T) {
 	planes := fastSearchCorpus()
 	fast := HEVC
 	fast.FastSearch = true
-	dataDef, _, err := Encode(planes, 28, HEVC, AllTools)
+	dataDef, _, err := encodeSerial(context.Background(), planes, 28, HEVC, AllTools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dataFast, _, err := Encode(planes, 28, fast, AllTools)
+	dataFast, _, err := encodeSerial(context.Background(), planes, 28, fast, AllTools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -51,7 +52,7 @@ func FuzzDecode(f *testing.F) {
 	for i := range regions {
 		regions[i] = PlaneRegion{Layer: i, W: corpus[i].W, H: corpus[i].H}
 	}
-	indexed, _, err := EncodeIndexed(corpus, 30, HEVC, AllTools, 1, regions)
+	indexed, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 1, Container: ContainerIndexed, Regions: regions}.Encode(context.Background(), corpus, 30)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -83,18 +84,17 @@ func FuzzDecode(f *testing.F) {
 	fastProf := HEVC
 	fastProf.FastSearch = true
 	rng := rand.New(rand.NewSource(99))
-	fastStream, _, err := EncodeParallel(
-		[]*frame.Plane{gradientPlane(rng, 80, 56)}, 26, fastProf, AllTools, 1)
+	fastStream, _, err := Encoder{Profile: fastProf, Tools: AllTools, Workers: 1}.Encode(context.Background(), []*frame.Plane{gradientPlane(rng, 80, 56)}, 26)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(fastStream)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		planes, strictErr := DecodeWorkers(data, 1)
+		planes, strictErr := Decoder{Workers: 1}.Decode(context.Background(), data)
 		typedOrNil(t, "strict", strictErr)
 
-		res, partialErr := DecodePartial(data, 1)
+		res, partialErr := Decoder{Workers: 1}.DecodePartial(context.Background(), data)
 		typedOrNil(t, "partial", partialErr)
 
 		if strictErr == nil {

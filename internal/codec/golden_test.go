@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -38,7 +39,7 @@ type goldenVector struct {
 	qp      int
 	prof    Profile
 	tools   Tools
-	kind    string // "v1" = Encode, "v2" = EncodeParallel, "v3" = EncodeChecksummed
+	kind    string // "v1" = encodeSerial, "v2" = ContainerAuto, "v3" = ContainerChecksummed
 	workers int    // worker count used when regenerating (v2/v3)
 	planes  func() []*frame.Plane
 }
@@ -131,13 +132,13 @@ func encodeGoldenVector(v goldenVector, workers int) ([]byte, error) {
 	planes := v.planes()
 	switch v.kind {
 	case "v1":
-		data, _, err := Encode(planes, v.qp, v.prof, v.tools)
+		data, _, err := encodeSerial(context.Background(), planes, v.qp, v.prof, v.tools, nil)
 		return data, err
 	case "v2":
-		data, _, err := EncodeParallel(planes, v.qp, v.prof, v.tools, workers)
+		data, _, err := Encoder{Profile: v.prof, Tools: v.tools, Workers: workers}.Encode(context.Background(), planes, v.qp)
 		return data, err
 	case "v3":
-		data, _, err := EncodeChecksummed(planes, v.qp, v.prof, v.tools, workers)
+		data, _, err := Encoder{Profile: v.prof, Tools: v.tools, Workers: workers, Container: ContainerChecksummed}.Encode(context.Background(), planes, v.qp)
 		return data, err
 	}
 	return nil, fmt.Errorf("unknown golden kind %q", v.kind)
@@ -214,7 +215,7 @@ func TestGoldenConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dec, err := Decode(stream)
+				dec, err := Decoder{}.Decode(context.Background(), stream)
 				if err != nil {
 					t.Fatalf("decode of freshly encoded golden stream: %v", err)
 				}
@@ -256,7 +257,7 @@ func TestGoldenConformance(t *testing.T) {
 				}
 			}
 
-			dec, err := Decode(want)
+			dec, err := Decoder{}.Decode(context.Background(), want)
 			if err != nil {
 				t.Fatalf("decode golden stream: %v", err)
 			}

@@ -1,7 +1,7 @@
 // Observability instrumentation of the codec layer (DESIGN.md §10).
 //
-// Every entry point has an *Obs twin taking an *obs.Registry; the classic
-// names delegate with a nil registry. The instrumentation contract:
+// Encoder and Decoder take an *obs.Registry in their Metrics field; nil
+// records nothing. The instrumentation contract:
 //
 //   - Zero cost when disabled. A nil registry resolves to nil metric
 //     handles, and every record site is guarded by a single nil check —
@@ -42,7 +42,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 
-	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
@@ -54,8 +53,23 @@ type encMetrics struct {
 	bitsContainer, bitsPartition, bitsMode, bitsResi *obs.Counter
 	stagePartition, stageIntra, stageXform           *obs.Histogram
 	stageEntropy, stageContainer                     *obs.Histogram
-	chunkNs, poolWorkers                             *obs.Histogram
-	poolBusy, poolWall                               *obs.Counter
+	chunkNs                                          *obs.Histogram
+	pool                                             poolMetrics
+}
+
+// poolMetrics are one chunk pool's handles: the pool size per call and the
+// busy and wall worker-time counters (utilization = busy/wall).
+type poolMetrics struct {
+	workers    *obs.Histogram
+	busy, wall *obs.Counter
+}
+
+func newPoolMetrics(reg *obs.Registry, prefix string) poolMetrics {
+	return poolMetrics{
+		workers: reg.Histogram(prefix + ".workers"),
+		busy:    reg.Counter(prefix + ".busy_ns"),
+		wall:    reg.Counter(prefix + ".wall_ns"),
+	}
 }
 
 func newEncMetrics(reg *obs.Registry) *encMetrics {
@@ -78,9 +92,7 @@ func newEncMetrics(reg *obs.Registry) *encMetrics {
 		stageEntropy:   reg.Histogram("codec.encode.stage.entropy_ns"),
 		stageContainer: reg.Histogram("codec.encode.stage.container_ns"),
 		chunkNs:        reg.Histogram("codec.encode.chunk_ns"),
-		poolWorkers:    reg.Histogram("codec.encode.pool.workers"),
-		poolBusy:       reg.Counter("codec.encode.pool.busy_ns"),
-		poolWall:       reg.Counter("codec.encode.pool.wall_ns"),
+		pool:           newPoolMetrics(reg, "codec.encode.pool"),
 	}
 }
 
@@ -133,8 +145,8 @@ type decMetrics struct {
 	errCorrupt, errTruncated, errChecksum *obs.Counter
 	errCanceled                           *obs.Counter
 	partialChunksLost, partialPlanesLost  *obs.Counter
-	stageParse, chunkNs, poolWorkers      *obs.Histogram
-	poolBusy, poolWall                    *obs.Counter
+	stageParse, chunkNs                   *obs.Histogram
+	pool                                  poolMetrics
 }
 
 func newDecMetrics(reg *obs.Registry) *decMetrics {
@@ -153,9 +165,14 @@ func newDecMetrics(reg *obs.Registry) *decMetrics {
 		partialPlanesLost: reg.Counter("codec.decode.partial.planes_lost"),
 		stageParse:        reg.Histogram("codec.decode.stage.parse_ns"),
 		chunkNs:           reg.Histogram("codec.decode.chunk_ns"),
-		poolWorkers:       reg.Histogram("codec.decode.pool.workers"),
-		poolBusy:          reg.Counter("codec.decode.pool.busy_ns"),
-		poolWall:          reg.Counter("codec.decode.pool.wall_ns"),
+		pool:              newPoolMetrics(reg, "codec.decode.pool"),
+	}
+}
+
+// countPlanes counts the planes a successful decode returned.
+func (m *decMetrics) countPlanes(n int) {
+	if m != nil {
+		m.planes.Add(int64(n))
 	}
 }
 
@@ -189,35 +206,4 @@ func workerLabels(pool string, worker int, f func()) {
 		"llm265_pool", pool,
 		"llm265_worker", strconv.Itoa(worker),
 	), func(context.Context) { f() })
-}
-
-// ------------------------------------------------------- public Obs twins
-
-// EncodeObs is Encode with metrics recorded into reg (nil reg = exactly
-// Encode). See the package taxonomy above for the metric names.
-func EncodeObs(planes []*frame.Plane, qp int, prof Profile, tools Tools, reg *obs.Registry) ([]byte, Stats, error) {
-	return encodeSerial(context.Background(), planes, qp, prof, tools, newEncMetrics(reg))
-}
-
-// EncodeParallelObs is EncodeParallel with metrics recorded into reg.
-func EncodeParallelObs(planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, reg *obs.Registry) ([]byte, Stats, error) {
-	return encodeParallel(context.Background(), planes, qp, prof, tools, workers, newEncMetrics(reg))
-}
-
-// EncodeChecksummedObs is EncodeChecksummed with metrics recorded into reg.
-func EncodeChecksummedObs(planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, reg *obs.Registry) ([]byte, Stats, error) {
-	return encodeChecksummed(context.Background(), planes, qp, prof, tools, workers, newEncMetrics(reg))
-}
-
-// DecodeWorkersObs is DecodeWorkers with metrics recorded into reg,
-// including the decode-error taxonomy counters.
-func DecodeWorkersObs(data []byte, workers int, reg *obs.Registry) ([]*frame.Plane, error) {
-	return DecodeWorkersCtx(context.Background(), data, workers, reg)
-}
-
-// DecodePartialObs is DecodePartial with metrics recorded into reg: each
-// failed chunk bumps its taxonomy counter, and the partial.chunks_lost /
-// partial.planes_lost counters account the recovery gap.
-func DecodePartialObs(data []byte, workers int, reg *obs.Registry) (*PartialResult, error) {
-	return DecodePartialCtx(context.Background(), data, workers, reg)
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -28,11 +29,11 @@ func metricsPlanes(n int) []*frame.Plane {
 func TestMetricsPopulateOnEncodeDecode(t *testing.T) {
 	planes := metricsPlanes(3)
 	reg := obs.NewRegistry()
-	data, st, err := EncodeParallelObs(planes, 30, HEVC, AllTools, 2, reg)
+	data, st, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 2, Metrics: reg}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeWorkersObs(data, 2, reg); err != nil {
+	if _, err := (Decoder{Workers: 2, Metrics: reg}).Decode(context.Background(), data); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
@@ -106,12 +107,12 @@ func TestMetricsPopulateOnEncodeDecode(t *testing.T) {
 // worker count.
 func TestMetricsDoNotChangeBytes(t *testing.T) {
 	planes := metricsPlanes(3)
-	want, _, err := EncodeParallel(planes, 30, HEVC, AllTools, 1)
+	want, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 1}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		got, _, err := EncodeParallelObs(planes, 30, HEVC, AllTools, workers, obs.NewRegistry())
+		got, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: workers, Metrics: obs.NewRegistry()}.Encode(context.Background(), planes, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +121,11 @@ func TestMetricsDoNotChangeBytes(t *testing.T) {
 		}
 	}
 	// Serial entry point too.
-	got, _, err := EncodeObs(planes[:1], 30, HEVC, AllTools, obs.NewRegistry())
+	got, _, err := encodeSerial(context.Background(), planes[:1], 30, HEVC, AllTools, newEncMetrics(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := Encode(planes[:1], 30, HEVC, AllTools)
+	plain, _, err := encodeSerial(context.Background(), planes[:1], 30, HEVC, AllTools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,24 +138,24 @@ func TestMetricsDoNotChangeBytes(t *testing.T) {
 // taxonomy counter, and that partial decode accounts its losses.
 func TestMetricsErrorTaxonomy(t *testing.T) {
 	planes := metricsPlanes(3)
-	v3, _, err := EncodeChecksummed(planes, 30, HEVC, AllTools, 2)
+	v3, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 2, Container: ContainerChecksummed}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	reg := obs.NewRegistry()
 	// Truncated: cut the stream mid-payload.
-	if _, err := DecodeWorkersObs(v3[:len(v3)-9], 1, reg); err == nil {
+	if _, err := (Decoder{Workers: 1, Metrics: reg}).Decode(context.Background(), v3[:len(v3)-9]); err == nil {
 		t.Fatal("truncated stream decoded")
 	}
 	// Checksum: flip a bit in the last chunk's payload.
 	bad := append([]byte(nil), v3...)
 	bad[len(bad)-9] ^= 0x10
-	if _, err := DecodeWorkersObs(bad, 1, reg); err == nil {
+	if _, err := (Decoder{Workers: 1, Metrics: reg}).Decode(context.Background(), bad); err == nil {
 		t.Fatal("damaged stream decoded")
 	}
 	// Corrupt: garbage magic.
-	if _, err := DecodeWorkersObs([]byte("not a stream at all"), 1, reg); err == nil {
+	if _, err := (Decoder{Workers: 1, Metrics: reg}).Decode(context.Background(), []byte("not a stream at all")); err == nil {
 		t.Fatal("garbage decoded")
 	}
 	s := reg.Snapshot()
@@ -171,7 +172,7 @@ func TestMetricsErrorTaxonomy(t *testing.T) {
 	// Partial decode on the checksum-damaged stream: one chunk lost, its
 	// planes accounted, the taxonomy bumped.
 	reg2 := obs.NewRegistry()
-	res, err := DecodePartialObs(bad, 1, reg2)
+	res, err := Decoder{Workers: 1, Metrics: reg2}.DecodePartial(context.Background(), bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func BenchmarkEncodeDisabledMetrics(b *testing.B) {
 	b.SetBytes(int64(p.W * p.H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := EncodeObs([]*frame.Plane{p}, 28, HEVC, AllTools, nil); err != nil {
+		if _, _, err := encodeSerial(context.Background(), []*frame.Plane{p}, 28, HEVC, AllTools, newEncMetrics(nil)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +214,7 @@ func BenchmarkEncodeEnabledMetrics(b *testing.B) {
 	b.SetBytes(int64(p.W * p.H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := EncodeObs([]*frame.Plane{p}, 28, HEVC, AllTools, reg); err != nil {
+		if _, _, err := encodeSerial(context.Background(), []*frame.Plane{p}, 28, HEVC, AllTools, newEncMetrics(reg)); err != nil {
 			b.Fatal(err)
 		}
 	}

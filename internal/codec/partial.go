@@ -61,22 +61,8 @@ func (r *PartialResult) Recovered() int {
 	return n
 }
 
-// DecodePartial is the graceful-degradation decode: it parses the container,
-// decodes every chunk whose bytes are present (and, for version-3, whose
-// CRC32C verifies), and reports the rest as ChunkErrors instead of failing
-// the whole stream. A serving layer uses it when one shard of a cached
-// tensor arrives damaged: the undamaged planes are still served and only
-// the failed chunk's planes need refetching.
-//
-// The top-level error is non-nil only when nothing can be recovered because
-// the shared geometry itself is unusable — bad magic, truncated or
-// CRC-failing header, impossible chunk table. Like DecodeWorkers it never
-// panics on hostile input.
-func DecodePartial(data []byte, workers int) (*PartialResult, error) {
-	return decodePartial(context.Background(), data, workers, nil)
-}
-
-// decodePartial is the observable core of DecodePartial.
+// decodePartial is the core of Decoder.DecodePartial: lenient parse, then
+// decode every chunk whose bytes survived it.
 func decodePartial(ctx context.Context, data []byte, workers int, m *decMetrics) (*PartialResult, error) {
 	pc, err := parseContainerObs(data, true, m)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Indexed encode and O(region) random-access decode (DESIGN.md §15).
 //
-// EncodeIndexed emits the hardened v3 container extended with the chunk-index
-// trailer; DecodeRegion decodes only the chunks overlapping a plane range.
+// ContainerIndexed emits the hardened v3 container extended with the
+// chunk-index trailer; Decoder.DecodeRegion decodes only the chunks
+// overlapping a plane range.
 // Because chunks are fully independent substreams, a region decode touches
 // O(region) chunks, not O(stream) — the codec.decode.chunks counter counts
 // exactly the chunks decoded, so /metricsz proves the bound. Region bytes are
@@ -15,63 +16,9 @@ import (
 	"fmt"
 
 	"repro/internal/frame"
-	"repro/internal/obs"
 )
 
-// EncodeIndexed compresses planes like EncodeChecksummed and appends the
-// chunk-index trailer: per-chunk absolute offset, length, CRC32C and plane
-// span, plus one tensor-space region rect per plane when regions is non-nil
-// (it must then hold exactly one rect per plane). The container decodes
-// byte-identically to its un-indexed twin, and output bytes are identical for
-// every worker count.
-func EncodeIndexed(planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, regions []PlaneRegion) ([]byte, Stats, error) {
-	return encodeV3(context.Background(), planes, qp, prof, tools, workers, nil, &indexSpec{regions: regions})
-}
-
-// EncodeIndexedObs is EncodeIndexed with metrics recorded into reg.
-func EncodeIndexedObs(planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, regions []PlaneRegion, reg *obs.Registry) ([]byte, Stats, error) {
-	return encodeV3(context.Background(), planes, qp, prof, tools, workers, newEncMetrics(reg), &indexSpec{regions: regions})
-}
-
-// EncodeIndexedCtx is EncodeIndexed under a context; see EncodeParallelCtx
-// for the cancellation contract. Metrics are recorded into reg (nil = none).
-func EncodeIndexedCtx(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, regions []PlaneRegion, reg *obs.Registry) ([]byte, Stats, error) {
-	return encodeV3(ctx, planes, qp, prof, tools, workers, newEncMetrics(reg), &indexSpec{regions: regions})
-}
-
-// DecodeRegion decodes only the planes [first, first+count) of a container,
-// touching only the chunks that cover them. The returned slice holds exactly
-// count planes, byte-identical to the same crop of a full decode. Works on
-// any container version (a v1 container is a single chunk, so its "region"
-// is the whole stream); the chunk partition, not the index, bounds the work —
-// the index exists so callers like the chunk store can find region → chunk
-// mappings without decoding anything.
-func DecodeRegion(data []byte, first, count, workers int) ([]*frame.Plane, error) {
-	return decodeRegion(context.Background(), data, first, count, workers, nil)
-}
-
-// DecodeRegionObs is DecodeRegion with metrics recorded into reg.
-func DecodeRegionObs(data []byte, first, count, workers int, reg *obs.Registry) ([]*frame.Plane, error) {
-	return DecodeRegionCtx(context.Background(), data, first, count, workers, reg)
-}
-
-// DecodeRegionCtx is DecodeRegion under a context: cancellation aborts
-// remaining chunk decodes and returns ctx.Err() (never wrapped into the
-// taxonomy). Metrics are recorded into reg (nil = none).
-func DecodeRegionCtx(ctx context.Context, data []byte, first, count, workers int, reg *obs.Registry) ([]*frame.Plane, error) {
-	m := newDecMetrics(reg)
-	planes, err := decodeRegion(ctx, data, first, count, workers, m)
-	if err != nil {
-		m.countError(err)
-		return nil, err
-	}
-	if m != nil {
-		m.planes.Add(int64(len(planes)))
-	}
-	return planes, nil
-}
-
-// decodeRegion is the observable core of DecodeRegion: strict parse, select
+// decodeRegion is the core of Decoder.DecodeRegion: strict parse, select
 // the chunks overlapping the plane range, decode only those.
 func decodeRegion(ctx context.Context, data []byte, first, count, workers int, m *decMetrics) ([]*frame.Plane, error) {
 	pc, err := parseContainerObs(data, false, m)

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -26,11 +27,11 @@ func indexedStream(t testing.TB) ([]byte, []*frame.Plane, []PlaneRegion) {
 		planes[i] = gradientPlane(rng, 64, 64)
 		regions[i] = PlaneRegion{Layer: i / 3, X0: (i % 3) * 64, Y0: 0, W: 64, H: 64}
 	}
-	data, _, err := EncodeIndexed(planes, 30, HEVC, AllTools, 2, regions)
+	data, _, err := Encoder{Profile: HEVC, Tools: AllTools, Workers: 2, Container: ContainerIndexed, Regions: regions}.Encode(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := DecodeWorkers(data, 2)
+	rec, err := Decoder{Workers: 2}.Decode(context.Background(), data)
 	if err != nil {
 		t.Fatalf("decoding the indexed stream: %v", err)
 	}
@@ -71,25 +72,25 @@ func TestIndexedStreamAcceptedByStrictDecoders(t *testing.T) {
 		t.Fatal("indexed container has no trailer")
 	}
 
-	want, err := DecodeWorkers(v3, 2)
+	want, err := Decoder{Workers: 2}.Decode(context.Background(), v3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requirePlanesEqual(t, "un-indexed reference", want, planes)
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := DecodeWorkers(data, workers)
+		got, err := Decoder{Workers: workers}.Decode(context.Background(), data)
 		if err != nil {
-			t.Fatalf("DecodeWorkers(indexed, %d): %v", workers, err)
+			t.Fatalf("Decode(indexed, workers=%d): %v", workers, err)
 		}
-		requirePlanesEqual(t, "DecodeWorkers(indexed)", got, want)
+		requirePlanesEqual(t, "Decode(indexed)", got, want)
 
-		res, err := DecodePartial(data, workers)
+		res, err := Decoder{Workers: workers}.DecodePartial(context.Background(), data)
 		if err != nil {
-			t.Fatalf("DecodePartial(indexed, %d): %v", workers, err)
+			t.Fatalf("DecodePartial(indexed, workers=%d): %v", workers, err)
 		}
 		if !res.OK() {
-			t.Fatalf("DecodePartial(indexed, %d): %d chunk errors, first: %v", workers, len(res.Errors), res.Errors[0])
+			t.Fatalf("DecodePartial(indexed, workers=%d): %d chunk errors, first: %v", workers, len(res.Errors), res.Errors[0])
 		}
 		requirePlanesEqual(t, "DecodePartial(indexed)", res.Planes, want)
 	}
@@ -106,7 +107,7 @@ func TestTrailerPreservesAntiDowngrade(t *testing.T) {
 
 	check := func(label string, data []byte) {
 		t.Helper()
-		if _, err := DecodeWorkers(data, 2); !errors.Is(err, ErrCorrupt) {
+		if _, err := (Decoder{Workers: 2}).Decode(context.Background(), data); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", label, err)
 		}
 	}
@@ -126,7 +127,7 @@ func TestTrailerPreservesAntiDowngrade(t *testing.T) {
 	for _, v := range []byte{1, 2} {
 		bad := append([]byte(nil), indexed...)
 		bad[4] = v
-		if _, err := DecodeWorkers(bad, 2); err == nil {
+		if _, err := (Decoder{Workers: 2}).Decode(context.Background(), bad); err == nil {
 			t.Fatalf("downgrade to v%d accepted", v)
 		}
 	}
@@ -215,12 +216,12 @@ func TestEncodeIndexedDeterminism(t *testing.T) {
 		regions[i] = PlaneRegion{Layer: i, W: 96, H: 96}
 	}
 	for _, tools := range []Tools{AllTools, ransTools()} {
-		ref, _, err := EncodeIndexed(planes, 30, HEVC, tools, 1, regions)
+		ref, _, err := Encoder{Profile: HEVC, Tools: tools, Workers: 1, Container: ContainerIndexed, Regions: regions}.Encode(context.Background(), planes, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			got, _, err := EncodeIndexed(planes, 30, HEVC, tools, workers, regions)
+			got, _, err := Encoder{Profile: HEVC, Tools: tools, Workers: workers, Container: ContainerIndexed, Regions: regions}.Encode(context.Background(), planes, 30)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,8 +231,8 @@ func TestEncodeIndexedDeterminism(t *testing.T) {
 		}
 	}
 	// Region-count mismatch is an encode-time error, not a bad stream.
-	if _, _, err := EncodeIndexed(planes, 30, HEVC, AllTools, 1, regions[:3]); err == nil {
-		t.Fatal("EncodeIndexed accepted 3 regions for 6 planes")
+	if _, _, err := (Encoder{Profile: HEVC, Tools: AllTools, Workers: 1, Container: ContainerIndexed, Regions: regions[:3]}).Encode(context.Background(), planes, 30); err == nil {
+		t.Fatal("ContainerIndexed accepted 3 regions for 6 planes")
 	}
 }
 
@@ -250,13 +251,13 @@ func TestDecodeRegionGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := DecodeWorkers(stream, 4)
+			full, err := Decoder{Workers: 4}.Decode(context.Background(), stream)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// An indexed re-encode of the same source (v3 framing regardless
 			// of the vector's own version).
-			indexed, _, err := EncodeIndexed(v.planes(), v.qp, v.prof, v.tools, 2, nil)
+			indexed, _, err := Encoder{Profile: v.prof, Tools: v.tools, Workers: 2, Container: ContainerIndexed}.Encode(context.Background(), v.planes(), v.qp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,13 +270,13 @@ func TestDecodeRegionGoldenEquivalence(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
 				for _, win := range windows {
-					got, err := DecodeRegion(stream, win[0], win[1], workers)
+					got, err := Decoder{Workers: workers}.DecodeRegion(context.Background(), stream, win[0], win[1])
 					if err != nil {
 						t.Fatalf("DecodeRegion(%s, [%d,+%d), w=%d): %v", v.name, win[0], win[1], workers, err)
 					}
 					requirePlanesEqual(t, "region vs full crop", got, full[win[0]:win[0]+win[1]])
 
-					got, err = DecodeRegion(indexed, win[0], win[1], workers)
+					got, err = Decoder{Workers: workers}.DecodeRegion(context.Background(), indexed, win[0], win[1])
 					if err != nil {
 						t.Fatalf("DecodeRegion(indexed %s, [%d,+%d), w=%d): %v", v.name, win[0], win[1], workers, err)
 					}
@@ -299,7 +300,7 @@ func TestDecodeRegionIsORegion(t *testing.T) {
 	}
 
 	fullChunks := chunkCount(func(reg *obs.Registry) {
-		if _, err := DecodeWorkersObs(data, 2, reg); err != nil {
+		if _, err := (Decoder{Workers: 2, Metrics: reg}).Decode(context.Background(), data); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -308,7 +309,7 @@ func TestDecodeRegionIsORegion(t *testing.T) {
 	}
 	// Plane 0 lives in chunk 0 (planes 0..7): exactly one chunk decoded.
 	regionChunks := chunkCount(func(reg *obs.Registry) {
-		got, err := DecodeRegionObs(data, 0, 1, 2, reg)
+		got, err := Decoder{Workers: 2, Metrics: reg}.DecodeRegion(context.Background(), data, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +320,7 @@ func TestDecodeRegionIsORegion(t *testing.T) {
 	}
 	// Plane 8 lives alone in chunk 1.
 	lastChunks := chunkCount(func(reg *obs.Registry) {
-		got, err := DecodeRegionObs(data, 8, 1, 2, reg)
+		got, err := Decoder{Workers: 2, Metrics: reg}.DecodeRegion(context.Background(), data, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +332,7 @@ func TestDecodeRegionIsORegion(t *testing.T) {
 
 	// Out-of-range windows are caller errors, never panics.
 	for _, win := range [][2]int{{-1, 1}, {0, 0}, {9, 1}, {8, 2}} {
-		if _, err := DecodeRegion(data, win[0], win[1], 2); err == nil {
+		if _, err := (Decoder{Workers: 2}).DecodeRegion(context.Background(), data, win[0], win[1]); err == nil {
 			t.Fatalf("DecodeRegion accepted window [%d,+%d)", win[0], win[1])
 		}
 	}
@@ -370,14 +371,14 @@ func TestTrailerFaultinject(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			bad := append([]byte(nil), data...)
 			bad[off] ^= 1 << bit
-			_, err := DecodeWorkers(bad, 2)
+			_, err := Decoder{Workers: 2}.Decode(context.Background(), bad)
 			if err == nil {
 				t.Fatalf("strict decode accepted trailer bitflip @%d.%d", off, bit)
 			}
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) {
 				t.Fatalf("trailer bitflip @%d.%d: untyped error %v", off, bit, err)
 			}
-			res, perr := DecodePartial(bad, 2)
+			res, perr := Decoder{Workers: 2}.DecodePartial(context.Background(), bad)
 			if perr != nil {
 				t.Fatalf("DecodePartial(trailer bitflip @%d.%d): %v", off, bit, perr)
 			}

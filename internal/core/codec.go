@@ -159,12 +159,17 @@ func (o Options) EncodeStackCtx(ctx context.Context, stack []*Tensor, qp int) (*
 	if len(stack) == 0 {
 		return nil, errors.New("core: empty stack")
 	}
-	rows, cols := stack[0].Rows, stack[0].Cols
-	for _, t := range stack {
-		if t.Rows != rows || t.Cols != cols {
-			return nil, fmt.Errorf("core: stack shapes differ: %dx%d vs %dx%d", t.Rows, t.Cols, rows, cols)
+	for i, t := range stack {
+		switch {
+		case t == nil:
+			return nil, fmt.Errorf("core: layer %d is nil", i)
+		case t.Rows <= 0 || t.Cols <= 0 || len(t.Data) != t.Rows*t.Cols:
+			return nil, fmt.Errorf("core: layer %d is %dx%d but holds %d values", i, t.Rows, t.Cols, len(t.Data))
+		case t.Rows != stack[0].Rows || t.Cols != stack[0].Cols:
+			return nil, fmt.Errorf("core: stack shapes differ: %dx%d vs %dx%d", t.Rows, t.Cols, stack[0].Rows, stack[0].Cols)
 		}
 	}
+	rows, cols := stack[0].Rows, stack[0].Cols
 	enc := &Encoded{
 		Layers: len(stack), Rows: rows, Cols: cols,
 		PerRow:    o.PerRowQuant,
@@ -192,27 +197,24 @@ func (o Options) EncodeStackCtx(ctx context.Context, stack []*Tensor, qp int) (*
 		planes = append(planes, frame.FromMatrix(pix, rows, cols, o.MaxFrameW, o.MaxFrameH)...)
 	}
 	quantSpan.End()
-	var stream []byte
-	var st codec.Stats
-	var err error
+	ce := codec.Encoder{Profile: o.Profile, Tools: o.Tools, Workers: o.Workers, Metrics: o.Metrics}
 	switch {
 	case o.Index:
 		// Thread the tensor-space geometry into the trailer: plane
 		// l*len(regs)+i covers region regs[i] of layer l, matching the
 		// FromMatrix emission order above.
+		ce.Container = codec.ContainerIndexed
 		regs := enc.regions()
-		pr := make([]codec.PlaneRegion, 0, len(planes))
+		ce.Regions = make([]codec.PlaneRegion, 0, len(planes))
 		for l := 0; l < enc.Layers; l++ {
 			for _, r := range regs {
-				pr = append(pr, codec.PlaneRegion{Layer: l, X0: r.X0, Y0: r.Y0, W: r.W, H: r.H})
+				ce.Regions = append(ce.Regions, codec.PlaneRegion{Layer: l, X0: r.X0, Y0: r.Y0, W: r.W, H: r.H})
 			}
 		}
-		stream, st, err = codec.EncodeIndexedCtx(ctx, planes, qp, o.Profile, o.Tools, o.Workers, pr, o.Metrics)
 	case o.Checksum:
-		stream, st, err = codec.EncodeChecksummedCtx(ctx, planes, qp, o.Profile, o.Tools, o.Workers, o.Metrics)
-	default:
-		stream, st, err = codec.EncodeParallelCtx(ctx, planes, qp, o.Profile, o.Tools, o.Workers, o.Metrics)
+		ce.Container = codec.ContainerChecksummed
 	}
+	stream, st, err := ce.Encode(ctx, planes, qp)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +357,7 @@ func (o Options) DecodeStackCtx(ctx context.Context, e *Encoded) ([]*Tensor, err
 		return nil, err
 	}
 	span := o.Metrics.StartSpan("core.decode_stack")
-	planes, err := codec.DecodeWorkersCtx(ctx, e.Stream, o.Workers, o.Metrics)
+	planes, err := codec.Decoder{Workers: o.Workers, Metrics: o.Metrics}.Decode(ctx, e.Stream)
 	if err != nil {
 		o.Metrics.Add("core.decode.errors", 1)
 		return nil, err
@@ -430,132 +432,109 @@ func (o Options) probeStack(stack []*Tensor) func(qp int) (*Encoded, error) {
 	}
 }
 
-// EncodeStackToBitrate is EncodeToBitrate over a layer stack.
+// bisectQP is the one QP search behind every rate-control entry point. It
+// bisects [0, dct.MaxQP] with probe, which encodes at a QP and reports
+// whether the result fits the target and how good it is. Fitting QPs steer
+// the search toward coarser quantization when up is set (quality targets:
+// the coarsest fitting QP is the cheapest) and toward finer quantization
+// otherwise (rate targets: the finest fitting QP is the best). It returns
+// the fitting result with the highest score. When nothing fits, the search
+// has been pushed to the far edge of the range (0 when up, MaxQP
+// otherwise) and returns that last probe, so callers see the floor without
+// a second encode.
+func bisectQP[T any](up bool, probe func(qp int) (res T, fits bool, score float64, err error)) (T, error) {
+	var best, last T
+	var bestScore float64
+	found := false
+	lo, hi := 0, dct.MaxQP
+	for lo <= hi {
+		mid := (lo + hi) / 2
+		res, fits, score, err := probe(mid)
+		if err != nil {
+			return res, err
+		}
+		last = res
+		if fits && (!found || score > bestScore) {
+			best, bestScore, found = res, score, true
+		}
+		if fits == up {
+			lo = mid + 1
+		} else {
+			hi = mid - 1
+		}
+	}
+	if !found {
+		return last, nil
+	}
+	return best, nil
+}
+
+// EncodeStackToBitrate is EncodeToBitrate over a layer stack. When even
+// dct.MaxQP exceeds the budget it returns the MaxQP encode.
 func (o Options) EncodeStackToBitrate(stack []*Tensor, bitsPerValue float64) (*Encoded, error) {
 	if bitsPerValue <= 0 {
 		return nil, fmt.Errorf("core: bits-per-value target %.3f must be positive", bitsPerValue)
 	}
 	probe := o.probeStack(stack)
-	lo, hi := 0, dct.MaxQP
-	var best *Encoded
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		e, err := probe(mid)
+	return bisectQP(false, func(qp int) (*Encoded, bool, float64, error) {
+		e, err := probe(qp)
 		if err != nil {
-			return nil, err
+			return nil, false, 0, err
 		}
-		if e.BitsPerValue() <= bitsPerValue {
-			if best == nil || e.BitsPerValue() > best.BitsPerValue() {
-				best = e
-			}
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
-	if best == nil {
-		// Even the coarsest QP exceeds the budget; return it anyway so the
-		// caller sees the floor (a cache hit — the bisection probed MaxQP on
-		// its way here).
-		return probe(dct.MaxQP)
-	}
-	return best, nil
+		return e, e.BitsPerValue() <= bitsPerValue, e.BitsPerValue(), nil
+	})
 }
 
 // EncodeToMSE finds the cheapest encode whose reconstruction MSE (in the
 // tensor's value domain) stays at or below maxMSE — the Fig. 2(b) quality
-// constraint (MSE < 0.01).
+// constraint (MSE < 0.01). It also returns the reconstruction.
 func (o Options) EncodeToMSE(t *Tensor, maxMSE float64) (*Encoded, *Tensor, error) {
-	probe := o.probeStack([]*Tensor{t})
-	roundtrip := func(qp int) (*Encoded, *Tensor, error) {
-		e, err := probe(qp)
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err := o.Decode(e)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, d, nil
+	fit, err := o.searchMSE([]*Tensor{t}, maxMSE)
+	if err != nil {
+		return nil, nil, err
 	}
-	lo, hi := 0, dct.MaxQP
-	var (
-		best    *Encoded
-		bestDec *Tensor
-	)
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		e, d, err := roundtrip(mid)
-		if err != nil {
-			return nil, nil, err
-		}
-		if t.MSE(d) <= maxMSE {
-			if best == nil || mid > best.QP {
-				best, bestDec = e, d
-			}
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	if best == nil {
-		return roundtrip(0)
-	}
-	return best, bestDec, nil
+	return fit.enc, fit.dec[0], nil
 }
 
 // EncodeStackToMSE finds the cheapest stack encode whose mean reconstruction
 // MSE (value domain, averaged over layers) stays at or below maxMSE — the
 // multi-frame form of EncodeToMSE used by the Fig. 2(b) ablation.
 func (o Options) EncodeStackToMSE(stack []*Tensor, maxMSE float64) (*Encoded, float64, error) {
-	measure := func(e *Encoded) (float64, error) {
+	fit, err := o.searchMSE(stack, maxMSE)
+	if err != nil {
+		return nil, 0, err
+	}
+	return fit.enc, fit.mse, nil
+}
+
+// mseFit is one MSE-search probe: the encode, its reconstruction and the
+// mean value-domain MSE over the stack.
+type mseFit struct {
+	enc *Encoded
+	dec []*Tensor
+	mse float64
+}
+
+// searchMSE returns the coarsest-QP encode of stack whose mean MSE is at
+// most maxMSE, or the QP-0 encode when even that misses the budget.
+func (o Options) searchMSE(stack []*Tensor, maxMSE float64) (mseFit, error) {
+	probe := o.probeStack(stack)
+	return bisectQP(true, func(qp int) (mseFit, bool, float64, error) {
+		e, err := probe(qp)
+		if err != nil {
+			return mseFit{}, false, 0, err
+		}
 		dec, err := o.DecodeStack(e)
 		if err != nil {
-			return 0, err
+			return mseFit{}, false, 0, err
 		}
 		var s float64
 		for i := range dec {
 			s += stack[i].MSE(dec[i])
 		}
-		return s / float64(len(dec)), nil
-	}
-	probe := o.probeStack(stack)
-	lo, hi := 0, dct.MaxQP
-	var (
-		best    *Encoded
-		bestMSE float64
-	)
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		e, err := probe(mid)
-		if err != nil {
-			return nil, 0, err
-		}
-		m, err := measure(e)
-		if err != nil {
-			return nil, 0, err
-		}
-		if m <= maxMSE {
-			if best == nil || mid > best.QP {
-				best, bestMSE = e, m
-			}
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	if best == nil {
-		e, err := probe(0)
-		if err != nil {
-			return nil, 0, err
-		}
-		m, err := measure(e)
-		if err != nil {
-			return nil, 0, err
-		}
-		return e, m, nil
-	}
-	return best, bestMSE, nil
+		mse := s / float64(len(dec))
+		return mseFit{enc: e, dec: dec, mse: mse}, mse <= maxMSE, float64(qp), nil
+	})
 }
 
 // Marshal serializes an Encoded to a portable byte stream (the .l265

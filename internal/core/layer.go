@@ -86,7 +86,7 @@ func (o Options) DecodeLayerCtx(ctx context.Context, e *Encoded, l int) (*Tensor
 		}
 	}
 
-	planes, err := codec.DecodeRegionCtx(ctx, e.Stream, l*perLayer, perLayer, o.Workers, o.Metrics)
+	planes, err := codec.Decoder{Workers: o.Workers, Metrics: o.Metrics}.DecodeRegion(ctx, e.Stream, l*perLayer, perLayer)
 	if err != nil {
 		o.Metrics.Add("core.decode.errors", 1)
 		return nil, err

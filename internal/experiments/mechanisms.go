@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -238,13 +239,13 @@ func Throughput(ctx *Ctx) *Table {
 	planes := frame.FromMatrix(pix, size, size, 1024, 1024)
 
 	encStart := nowSeconds()
-	stream, _, err := codec.Encode(planes, 26, o.Profile, o.Tools)
+	stream, _, err := codec.Encoder{Profile: o.Profile, Tools: o.Tools}.Encode(context.TODO(), planes, 26)
 	if err != nil {
 		panic(err)
 	}
 	encSec := nowSeconds() - encStart
 	decStart := nowSeconds()
-	if _, err := codec.Decode(stream); err != nil {
+	if _, err := (codec.Decoder{}).Decode(context.TODO(), stream); err != nil {
 		panic(err)
 	}
 	decSec := nowSeconds() - decStart

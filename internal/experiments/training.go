@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"repro/internal/allreduce"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/llm"
@@ -141,9 +143,9 @@ func Fig10(ctx *Ctx) *Table {
 	for _, a := range dpArms() {
 		m := freshModel(modelName, 4321)
 		opt, compress, onStep := a.build(steps)
-		res, err := train.RunDataParallel(m, corpus, opt, train.DPConfig{
+		res, err := train.RunDataParallelRing(context.TODO(), m, corpus, opt, train.DPConfig{
 			Replicas: 4, Batch: 4, Compress: compress, EvalBatches: 4,
-		}, steps, 66, onStep)
+		}, allreduce.Config{}, steps, 66, onStep)
 		if err != nil {
 			panic(err)
 		}

@@ -108,7 +108,7 @@ func Regions(rows, cols, maxW, maxH int) []Region {
 // split into horizontal bands of maxH rows; bands wider than maxW are split
 // into column slabs. Planes are emitted at their natural (unpadded) sizes —
 // the ragged final band/slab is NOT padded here. CTU alignment is the
-// encoder's job: codec.Encode edge-replicates each frame up to the CTU
+// encoder's job: the codec encoder edge-replicates each frame up to the CTU
 // multiple internally (so block statistics stay representative) and crops
 // the reconstruction back, which keeps ToMatrix a pure inverse of this
 // function.

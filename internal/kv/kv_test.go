@@ -65,11 +65,11 @@ func reference(t *testing.T, vals []float32, dim, f, qp int, backend codec.Entro
 	}
 	tools := codec.AllTools
 	tools.Backend = backend
-	enc, _, err := codec.EncodeChecksummed(planes, qp, codec.HEVC, tools, workers)
+	enc, _, err := codec.Encoder{Profile: codec.HEVC, Tools: tools, Workers: workers, Container: codec.ContainerChecksummed}.Encode(context.Background(), planes, qp)
 	if err != nil {
 		t.Fatalf("reference encode: %v", err)
 	}
-	dec, err := codec.DecodeWorkers(enc, workers)
+	dec, err := codec.Decoder{Workers: workers}.Decode(context.Background(), enc)
 	if err != nil {
 		t.Fatalf("reference decode: %v", err)
 	}

@@ -21,6 +21,7 @@ package kv_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -126,11 +127,11 @@ func soakReference(vals []float32, dim, f, qp int) ([]float32, error) {
 		}
 		planes[g] = &frame.Plane{W: dim, H: f, Pix: pix}
 	}
-	enc, _, err := codec.EncodeChecksummed(planes, qp, codec.HEVC, codec.AllTools, 1)
+	enc, _, err := codec.Encoder{Profile: codec.HEVC, Tools: codec.AllTools, Workers: 1, Container: codec.ContainerChecksummed}.Encode(context.Background(), planes, qp)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := codec.DecodeWorkers(enc, 1)
+	dec, err := codec.Decoder{Workers: 1}.Decode(context.Background(), enc)
 	if err != nil {
 		return nil, err
 	}

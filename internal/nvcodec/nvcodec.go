@@ -14,6 +14,7 @@
 package nvcodec
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -146,7 +147,8 @@ func (d *Device) Encode(planes []*frame.Plane, qp int, tools codec.Tools) ([]byt
 				p.W, p.H, d.Gen.Name, d.Profile.Name, d.sup.MaxDim)
 		}
 	}
-	data, st, err := codec.EncodeParallelObs(planes, qp, d.Profile, tools, d.Gen.encEngines(), d.Metrics)
+	enc := codec.Encoder{Profile: d.Profile, Tools: tools, Workers: d.Gen.encEngines(), Metrics: d.Metrics}
+	data, st, err := enc.Encode(context.TODO(), planes, qp)
 	if err != nil {
 		return nil, codec.Stats{}, 0, err
 	}
@@ -160,7 +162,7 @@ func (d *Device) Encode(planes []*frame.Plane, qp int, tools codec.Tools) ([]byt
 
 // Decode mirrors Encode with the decode-side engine schedule.
 func (d *Device) Decode(data []byte) ([]*frame.Plane, time.Duration, error) {
-	planes, err := codec.DecodeWorkersObs(data, d.Gen.decEngines(), d.Metrics)
+	planes, err := codec.Decoder{Workers: d.Gen.decEngines(), Metrics: d.Metrics}.Decode(context.TODO(), data)
 	if err != nil {
 		if d.Metrics != nil {
 			d.Metrics.Add("nvcodec.decode.errors", 1)

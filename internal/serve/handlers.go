@@ -366,8 +366,9 @@ func (s *Server) decodeCore(w http.ResponseWriter, ctx context.Context, body []b
 func (s *Server) decodeCodec(w http.ResponseWriter, ctx context.Context, body []byte, partial bool) {
 	status := http.StatusOK
 	var planes []*frame.Plane
+	dec := codec.Decoder{Workers: s.cfg.Workers, Metrics: s.reg}
 	if partial {
-		res, err := codec.DecodePartialCtx(ctx, body, s.cfg.Workers, s.reg)
+		res, err := dec.DecodePartial(ctx, body)
 		if err != nil {
 			s.writeError(w, err)
 			return
@@ -381,7 +382,7 @@ func (s *Server) decodeCodec(w http.ResponseWriter, ctx context.Context, body []
 		}
 	} else {
 		var err error
-		planes, err = codec.DecodeWorkersCtx(ctx, body, s.cfg.Workers, s.reg)
+		planes, err = dec.Decode(ctx, body)
 		if err != nil {
 			s.writeError(w, err)
 			return

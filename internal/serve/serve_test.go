@@ -204,10 +204,10 @@ func TestErrorTaxonomyStatuses(t *testing.T) {
 
 	// Self-check the damage classes against the direct decoder so the HTTP
 	// assertions below test the mapping, not the damage construction.
-	if _, derr := codec.DecodeWorkers(flipped, 1); !errors.Is(derr, codec.ErrChecksum) {
+	if _, derr := (codec.Decoder{Workers: 1}).Decode(context.Background(), flipped); !errors.Is(derr, codec.ErrChecksum) {
 		t.Fatalf("flipped container decodes to %v, want ErrChecksum", derr)
 	}
-	if _, derr := codec.DecodeWorkers(truncated, 1); !errors.Is(derr, codec.ErrTruncated) {
+	if _, derr := (codec.Decoder{Workers: 1}).Decode(context.Background(), truncated); !errors.Is(derr, codec.ErrTruncated) {
 		t.Fatalf("truncated container decodes to %v, want ErrTruncated", derr)
 	}
 
@@ -275,7 +275,7 @@ func TestDecodeSniffTaxonomy(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexed := enc.Stream
-	wantPlanes, err := codec.DecodeWorkers(indexed, 1)
+	wantPlanes, err := codec.Decoder{Workers: 1}.Decode(context.Background(), indexed)
 	if err != nil {
 		t.Fatalf("indexed stream does not decode directly: %v", err)
 	}
@@ -289,10 +289,10 @@ func TestDecodeSniffTaxonomy(t *testing.T) {
 	cutTrailer := indexed[:lay.TrailerOff+lay.TrailerLen/2]
 	flipTrailer := append([]byte(nil), indexed...)
 	flipTrailer[lay.TrailerOff+10] ^= 0x01
-	if _, derr := codec.DecodeWorkers(cutTrailer, 1); !errors.Is(derr, codec.ErrTruncated) {
+	if _, derr := (codec.Decoder{Workers: 1}).Decode(context.Background(), cutTrailer); !errors.Is(derr, codec.ErrTruncated) {
 		t.Fatalf("cut trailer decodes to %v, want ErrTruncated", derr)
 	}
-	if _, derr := codec.DecodeWorkers(flipTrailer, 1); !errors.Is(derr, codec.ErrChecksum) {
+	if _, derr := (codec.Decoder{Workers: 1}).Decode(context.Background(), flipTrailer); !errors.Is(derr, codec.ErrChecksum) {
 		t.Fatalf("flipped trailer decodes to %v, want ErrChecksum", derr)
 	}
 
@@ -322,7 +322,7 @@ func TestDecodeSniffTaxonomy(t *testing.T) {
 			}
 			if tc.wantStatus == http.StatusOK {
 				if !bytes.Equal(body, marshalPlanes(wantPlanes)) {
-					t.Fatal("indexed decode body differs from direct DecodeWorkers")
+					t.Fatal("indexed decode body differs from a direct codec Decode")
 				}
 				return
 			}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"net/http"
@@ -97,7 +98,7 @@ func buildSoakScenarios(t testing.TB) []soakScenario {
 // mustPlanes decodes a codec container directly for reference GPLN bytes.
 func mustPlanes(t testing.TB, stream []byte) []*frame.Plane {
 	t.Helper()
-	planes, err := codec.DecodeWorkers(stream, 1)
+	planes, err := codec.Decoder{Workers: 1}.Decode(context.Background(), stream)
 	if err != nil {
 		t.Fatal(err)
 	}

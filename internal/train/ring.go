@@ -26,25 +26,28 @@ type RingDPResult struct {
 	encBytes, encNs float64 // throughput accumulators
 }
 
-// RunDataParallelRing is the concurrent twin of RunDataParallel: the same
-// per-replica gradient computation and the same GradCompressor seam, but the
-// bucket reduction runs on a live allreduce.Ring — N goroutine workers
-// exchanging codec-compressed segments over in-process channels.
+// RunDataParallelRing trains with cfg.Replicas simulated workers: each
+// computes gradients on its own batch, and the mean of the (optionally
+// compressed) gradients drives the shared optimizer — synchronous data
+// parallelism with lossy all-reduce. The bucket reduction runs on a live
+// allreduce.Ring: N goroutine workers exchanging codec-compressed segments
+// over in-process channels. onStep (optional) fires after every optimizer
+// step, which is where warm-up-based baselines advance state.
 //
 // Two mutually exclusive compression seams exist:
-//   - cfg.Compress (the sequential GradCompressor): applied serially per
-//     replica before the ring, which then runs lossless. Results are
-//     bit-identical to RunDataParallel with the same compressor, because
-//     stateful compressors (rate controllers, warmup steppers) see replicas
-//     in the same order.
+//   - cfg.Compress (the GradCompressor): applied serially per replica
+//     before the ring, which then runs lossless. Results are bit-identical
+//     to the sequential oracle loop in the package tests with the same
+//     compressor, because stateful compressors (rate controllers, warmup
+//     steppers) see replicas in the same order.
 //   - rcfg.Codec (a wire codec): compression happens inside the collective,
 //     on live segment traffic, with optional error feedback. This is the
 //     real-system path the tentpole asks for.
 //
 // With neither set the ring runs the raw codec and the whole function is
-// bit-identical to RunDataParallel uncompressed (the property matrix pins
-// this). rcfg.Workers/Rows/Cols are derived from cfg and the model; setting
-// them is an error.
+// bit-identical to the sequential oracle uncompressed (the property matrix
+// pins this). rcfg.Workers/Rows/Cols are derived from cfg and the model;
+// setting them is an error.
 func RunDataParallelRing(ctx context.Context, m *nn.Transformer, corpus *data.Corpus,
 	opt nn.Optimizer, cfg DPConfig, rcfg allreduce.Config, steps int, seed int64,
 	onStep func(step int)) (*RingDPResult, error) {

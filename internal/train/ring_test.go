@@ -35,14 +35,14 @@ func weightsBitIdentical(a, b [][]float32) (int, int, bool) {
 
 // TestRingTwinBitIdenticalUncompressed is the property-matrix anchor: the
 // concurrent ring trainer with a lossless wire must reproduce the
-// sequential RunDataParallel run bit for bit — every weight, every curve
+// sequential oracle run bit for bit — every weight, every curve
 // point — across replica counts and schedule seeds.
 func TestRingTwinBitIdenticalUncompressed(t *testing.T) {
 	const steps = 12
 	for _, replicas := range []int{1, 2, 4} {
 		for _, schedSeed := range []int64{0, 5} {
 			mSeq, corpusSeq := smallSetup(31)
-			seqRes, err := RunDataParallel(mSeq, corpusSeq, nn.NewAdam(3e-3), DPConfig{
+			seqRes, err := runSequential(mSeq, corpusSeq, nn.NewAdam(3e-3), DPConfig{
 				Replicas: replicas, Batch: 2, EvalBatches: 2,
 			}, steps, 32, nil)
 			if err != nil {
@@ -82,7 +82,7 @@ func TestRingTwinBitIdenticalUncompressed(t *testing.T) {
 func TestRingTwinBitIdenticalWithGradCompressor(t *testing.T) {
 	const steps = 8
 	mSeq, corpusSeq := smallSetup(41)
-	if _, err := RunDataParallel(mSeq, corpusSeq, nn.NewAdam(3e-3), DPConfig{
+	if _, err := runSequential(mSeq, corpusSeq, nn.NewAdam(3e-3), DPConfig{
 		Replicas: 2, Batch: 2, Compress: RTNDP(4, 128),
 	}, steps, 42, nil); err != nil {
 		t.Fatal(err)

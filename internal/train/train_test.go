@@ -1,9 +1,11 @@
 package train
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/allreduce"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/data"
@@ -93,9 +95,9 @@ func TestBoundaryDetection(t *testing.T) {
 
 func TestDataParallelUncompressed(t *testing.T) {
 	m, corpus := smallSetup(7)
-	res, err := RunDataParallel(m, corpus, nn.NewAdam(3e-3), DPConfig{
+	res, err := RunDataParallelRing(context.Background(), m, corpus, nn.NewAdam(3e-3), DPConfig{
 		Replicas: 2, Batch: 4, EvalBatches: 4,
-	}, 100, 8, nil)
+	}, allreduce.Config{}, 100, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +111,10 @@ func TestDataParallelUncompressed(t *testing.T) {
 
 func TestDataParallelLLM265(t *testing.T) {
 	m, corpus := smallSetup(9)
-	res, err := RunDataParallel(m, corpus, nn.NewAdam(3e-3), DPConfig{
+	res, err := RunDataParallelRing(context.Background(), m, corpus, nn.NewAdam(3e-3), DPConfig{
 		Replicas: 2, Batch: 4,
 		Compress: LLM265DP(core.DefaultOptions(), 2.6),
-	}, 100, 10, nil)
+	}, allreduce.Config{}, 100, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +131,10 @@ func TestDataParallelOneBit(t *testing.T) {
 	steps := 100
 	ob := baselines.NewOneBitCompressor(steps * 15 / 100)
 	opt := nn.NewAdam(3e-3)
-	res, err := RunDataParallel(m, corpus, opt, DPConfig{
+	res, err := RunDataParallelRing(context.Background(), m, corpus, opt, DPConfig{
 		Replicas: 2, Batch: 4,
 		Compress: OneBitDP(ob),
-	}, steps, 12, func(step int) {
+	}, allreduce.Config{}, steps, 12, func(step int) {
 		ob.AdvanceStep()
 		if !ob.InWarmup() {
 			opt.FreezeVariance = true
